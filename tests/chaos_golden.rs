@@ -12,7 +12,7 @@
 //! and review the golden diff like any other code change.
 
 use canary_core::ReplicationStrategyKind;
-use canary_experiments::{chaos, trace_to_jsonl, StrategyKind};
+use canary_experiments::{chaos, trace_from_jsonl, trace_to_jsonl, StrategyKind};
 use canary_platform::{RunResult, TraceKind};
 use std::path::PathBuf;
 
@@ -150,4 +150,30 @@ fn same_seed_reproduces_identical_trace_bytes() {
     let a = trace_to_jsonl(&mixed_run(7).trace);
     let b = trace_to_jsonl(&mixed_run(7).trace);
     assert_eq!(a, b, "chaos runs must be byte-for-byte reproducible");
+}
+
+#[test]
+fn every_golden_decodes_and_reencodes_byte_for_byte() {
+    // The reader and the writer agree on every committed wire line:
+    // decoding a golden and encoding it again gives back its exact bytes.
+    let mut paths: Vec<PathBuf> = std::fs::read_dir(golden_path(""))
+        .expect("goldens directory")
+        .map(|entry| entry.expect("goldens entry").path())
+        .filter(|path| path.extension().is_some_and(|ext| ext == "jsonl"))
+        .collect();
+    paths.sort();
+    assert!(
+        paths.len() >= 6,
+        "expected the committed goldens, found {paths:?}"
+    );
+    for path in paths {
+        let golden = std::fs::read_to_string(&path).expect("golden reads");
+        let trace = trace_from_jsonl(&golden)
+            .unwrap_or_else(|e| panic!("{} does not decode: {e}", path.display()));
+        assert!(
+            trace_to_jsonl(&trace) == golden,
+            "{} does not re-encode to its own bytes",
+            path.display()
+        );
+    }
 }
