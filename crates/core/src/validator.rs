@@ -173,19 +173,6 @@ impl RequestValidator {
         self.queued.push_back(job);
     }
 
-    /// Pop the next queued job that now fits within the concurrency
-    /// headroom, scanning past jobs that do not (first-fit).
-    ///
-    /// First-fit maximizes utilization but lets small late jobs overtake
-    /// a large job stuck at the head, which can starve it under
-    /// sustained load — prefer [`Self::drain_admissible`] for open-loop
-    /// admission.
-    pub fn dequeue_admissible(&mut self, active: u32) -> Option<JobSpec> {
-        let headroom = self.limits.max_concurrent.saturating_sub(active);
-        let pos = self.queued.iter().position(|j| j.invocations <= headroom)?;
-        self.queued.remove(pos)
-    }
-
     /// Head-of-line FIFO drain: pop queued jobs from the front while the
     /// next one fits within the concurrency headroom, stopping at the
     /// first that does not. No job can overtake an earlier one, so
@@ -278,26 +265,6 @@ mod tests {
         let v = RequestValidator::new(limits);
         assert_eq!(v.admit(&job(60), 50).unwrap(), Admission::Queue);
         assert_eq!(v.admit(&job(50), 50).unwrap(), Admission::Admit);
-    }
-
-    #[test]
-    fn queue_drains_when_capacity_frees() {
-        let limits = PlatformLimits {
-            max_concurrent: 100,
-            ..Default::default()
-        };
-        let mut v = RequestValidator::new(limits);
-        v.enqueue(job(80));
-        v.enqueue(job(30));
-        // 50 active: only the 30-invocation job fits.
-        let j = v.dequeue_admissible(50).unwrap();
-        assert_eq!(j.invocations, 30);
-        assert_eq!(v.queued_len(), 1);
-        // Nothing fits at 90 active.
-        assert!(v.dequeue_admissible(90).is_none());
-        // Everything done: the 80 fits now.
-        assert_eq!(v.dequeue_admissible(0).unwrap().invocations, 80);
-        assert_eq!(v.queued_len(), 0);
     }
 
     #[test]

@@ -196,16 +196,30 @@ impl<'a> Decoder<'a> {
         Ok(self.buf.get_f64_le())
     }
 
-    /// Read a length-prefixed byte blob.
-    pub fn bytes(&mut self, what: &'static str) -> Result<Vec<u8>, CodecError> {
+    /// Read a `u32` count of elements that take at least `min_elem_bytes`
+    /// each. A count the remaining input cannot hold is
+    /// [`CodecError::BadLength`] (reporting the claimed bytes), so callers
+    /// may preallocate the count it returns.
+    pub fn len_prefix(
+        &mut self,
+        what: &'static str,
+        min_elem_bytes: usize,
+    ) -> Result<usize, CodecError> {
         let len = self.u32(what)? as usize;
-        if self.buf.remaining() < len {
+        let claimed = len.saturating_mul(min_elem_bytes);
+        if claimed > self.buf.remaining() {
             return Err(CodecError::BadLength {
                 what,
-                len,
+                len: claimed,
                 remaining: self.buf.remaining(),
             });
         }
+        Ok(len)
+    }
+
+    /// Read a length-prefixed byte blob.
+    pub fn bytes(&mut self, what: &'static str) -> Result<Vec<u8>, CodecError> {
+        let len = self.len_prefix(what, 1)?;
         let mut out = vec![0u8; len];
         self.buf.copy_to_slice(&mut out);
         Ok(out)
@@ -218,14 +232,7 @@ impl<'a> Decoder<'a> {
 
     /// Read a length-prefixed `f64` vector.
     pub fn f64_vec(&mut self, what: &'static str) -> Result<Vec<f64>, CodecError> {
-        let len = self.u32(what)? as usize;
-        if self.buf.remaining() < len * 8 {
-            return Err(CodecError::BadLength {
-                what,
-                len: len * 8,
-                remaining: self.buf.remaining(),
-            });
-        }
+        let len = self.len_prefix(what, 8)?;
         Ok((0..len).map(|_| self.buf.get_f64_le()).collect())
     }
 
@@ -295,6 +302,29 @@ mod tests {
         let b = e.finish();
         let mut d = Decoder::new(&b);
         assert!(matches!(d.bytes("blob"), Err(CodecError::BadLength { .. })));
+    }
+
+    #[test]
+    fn len_prefix_rejects_counts_the_input_cannot_hold() {
+        let mut e = Encoder::new();
+        e.put_u32(3).put_u64(0).put_u64(0).put_u64(0);
+        let b = e.finish();
+        // Three 8-byte elements fit the 24 bytes left; three 9-byte ones do not.
+        assert_eq!(Decoder::new(&b).len_prefix("fits", 8), Ok(3));
+        assert_eq!(
+            Decoder::new(&b).len_prefix("too long", 9),
+            Err(CodecError::BadLength {
+                what: "too long",
+                len: 27,
+                remaining: 24,
+            })
+        );
+        let mut e = Encoder::new();
+        e.put_u32(u32::MAX);
+        assert!(matches!(
+            Decoder::new(&e.finish()).len_prefix("huge", 8),
+            Err(CodecError::BadLength { remaining: 0, .. })
+        ));
     }
 
     #[test]

@@ -118,7 +118,7 @@ impl Resumable for BfsKernel {
         }
         let next = d.u64("bfs next")?;
         let acc = d.u64("bfs acc")?;
-        let n = d.u32("bfs levels len")? as usize;
+        let n = d.len_prefix("bfs levels len", 8)?;
         let mut level_counts = Vec::with_capacity(n);
         for _ in 0..n {
             level_counts.push(d.u64("bfs level count")?);
@@ -144,6 +144,16 @@ impl Resumable for BfsKernel {
 mod tests {
     use super::*;
     use crate::kernels::{run_uninterrupted, run_with_checkpoint_churn};
+
+    #[test]
+    fn decode_rejects_a_level_count_the_input_cannot_hold() {
+        let mut e = Encoder::new();
+        e.put_u8(1).put_u64(0).put_u64(0).put_u32(u32::MAX);
+        assert!(matches!(
+            BfsKernel::new(10, 2).decode(&e.finish()),
+            Err(CodecError::BadLength { .. })
+        ));
+    }
 
     #[test]
     fn depth_formula() {

@@ -181,7 +181,8 @@ impl Resumable for MapKernel {
             });
         }
         let next_chunk = d.u64("next_chunk")?;
-        let parts = d.u32("partitions")? as usize;
+        // Each partition's counts start with a `u32` length.
+        let parts = d.len_prefix("partitions", 4)?;
         let mut outputs = Vec::with_capacity(parts);
         for _ in 0..parts {
             outputs.push(decode_counts(&mut d)?);
@@ -331,6 +332,16 @@ pub fn wordcount_reference(
 mod tests {
     use super::*;
     use crate::kernels::{run_uninterrupted, run_with_checkpoint_churn};
+
+    #[test]
+    fn map_decode_rejects_a_partition_count_the_input_cannot_hold() {
+        let mut e = Encoder::new();
+        e.put_u8(1).put_u64(0).put_u32(u32::MAX);
+        assert!(matches!(
+            MapKernel::new(3, 8, 500, 4).decode(&e.finish()),
+            Err(CodecError::BadLength { .. })
+        ));
+    }
 
     #[test]
     fn map_churn_equals_uninterrupted() {

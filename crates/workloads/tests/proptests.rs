@@ -2,8 +2,8 @@
 
 use canary_workloads::kernels::compression::{rle_compress, rle_decompress};
 use canary_workloads::{
-    BfsKernel, CensusData, CompressionKernel, Decoder, DiversityKernel, Encoder, Resumable,
-    TrainingKernel, WebQueryKernel,
+    BfsKernel, CensusData, CompressionKernel, Decoder, DiversityKernel, Encoder, MapKernel,
+    Resumable, TrainingKernel, WebQueryKernel,
 };
 use proptest::prelude::*;
 
@@ -52,6 +52,7 @@ proptest! {
         let _ = TrainingKernel::default().decode(&garbage);
         let _ = WebQueryKernel::new(CensusData::generate(4, 2, 0), 2, 0).decode(&garbage);
         let _ = DiversityKernel::new(CensusData::generate(4, 2, 0), 2).decode(&garbage);
+        let _ = MapKernel::new(1, 2, 8, 2).decode(&garbage);
     }
 
     /// BFS kill-at-any-step + restore matches uninterrupted, for

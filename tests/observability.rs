@@ -2,6 +2,7 @@
 //! summaries, and the guarantee that observation never changes a run.
 
 use canary_core::ReplicationStrategyKind;
+use canary_experiments::export::kind_name;
 use canary_experiments::{trace_from_jsonl, trace_to_jsonl, Scenario, StrategyKind};
 use canary_platform::{JobSpec, Phase, TraceKind};
 use canary_workloads::{WorkloadKind, WorkloadSpec};
@@ -24,41 +25,6 @@ fn obs_scenario() -> Scenario {
     s.nodes = 4;
     s.node_failure_rate = 0.6;
     s
-}
-
-fn kind_name(kind: &TraceKind) -> &'static str {
-    match kind {
-        TraceKind::JobArrived { .. } => "job_arrived",
-        TraceKind::JobSubmitted { .. } => "job_submitted",
-        TraceKind::JobQueued { .. } => "job_queued",
-        TraceKind::JobDequeued { .. } => "job_dequeued",
-        TraceKind::JobRejected { .. } => "job_rejected",
-        TraceKind::AttemptStarted { .. } => "attempt_started",
-        TraceKind::AttemptFailed { .. } => "attempt_failed",
-        TraceKind::FunctionCompleted { .. } => "function_completed",
-        TraceKind::NodeFailed { .. } => "node_failed",
-        TraceKind::CheckpointWritten { .. } => "checkpoint_written",
-        TraceKind::CheckpointRestored { .. } => "checkpoint_restored",
-        TraceKind::RecoveryPlanned { .. } => "recovery_planned",
-        TraceKind::WarmPoolSpawned { .. } => "warm_pool_spawned",
-        TraceKind::WarmPoolReady { .. } => "warm_pool_ready",
-        TraceKind::ReplicaConsumed { .. } => "replica_consumed",
-        TraceKind::ReplicaRefreshed { .. } => "replica_refreshed",
-        TraceKind::PartitionStarted { .. } => "partition_started",
-        TraceKind::PartitionHealed { .. } => "partition_healed",
-        TraceKind::NetworkDegraded { .. } => "network_degraded",
-        TraceKind::NetworkRestored => "network_restored",
-        TraceKind::StoreOutage { .. } => "store_outage",
-        TraceKind::StoreRejoined { .. } => "store_rejoined",
-        TraceKind::StragglerInjected { .. } => "straggler_injected",
-        TraceKind::CheckpointCorrupted { .. } => "checkpoint_corrupted",
-        TraceKind::CheckpointSkipped { .. } => "checkpoint_skipped",
-        TraceKind::RestoreFallback { .. } => "restore_fallback",
-        TraceKind::ControllerCrashed => "controller_crashed",
-        TraceKind::ControllerRecovered { .. } => "controller_recovered",
-        TraceKind::MigrationPlanned { .. } => "migration_planned",
-        TraceKind::MigrationFallback { .. } => "migration_fallback",
-    }
 }
 
 /// Fixed seed + fixed scenario must reproduce the exact same event
