@@ -749,7 +749,13 @@ mod tests {
             let (h, _) = store.insert(Bytes::copy_from_slice(chunk));
             hashes.push(h);
         }
-        let wire = encode_manifest(1, None, &hashes, payload.len() as u64, sequence_digest(&hashes));
+        let wire = encode_manifest(
+            1,
+            None,
+            &hashes,
+            payload.len() as u64,
+            sequence_digest(&hashes),
+        );
         let m = decode_manifest(&wire, |_| None).unwrap();
         assert_eq!(restore_from_manifest(&m, &store).unwrap().as_ref(), payload);
         store.corrupt_chunk(hashes[2], 5);

@@ -951,10 +951,8 @@ impl CanaryDb {
             DbKey::Typed(k) => Bytes::copy_from_slice(k.as_bytes()),
             DbKey::Text(s) => Bytes::from(s),
         };
-        self.kv.put_batch(&[
-            (row.location.clone(), payload),
-            (ckpt_key, row_bytes),
-        ])?;
+        self.kv
+            .put_batch(&[(row.location.clone(), payload), (ckpt_key, row_bytes)])?;
         if let Some(mut cache) = self.cache() {
             if let Some(rows) = cache.checkpoints.get_mut(&row.fn_id) {
                 match rows.binary_search_by_key(&row.ckpt_id, |r| r.ckpt_id) {

@@ -214,12 +214,7 @@ impl RuntimeManager {
     /// `limit` matches — the pool-shrink path reclaims a known surplus on
     /// every reconcile, so it reuses one scratch vector instead of
     /// collecting the full idle set each round.
-    pub fn idle_warm_into(
-        &self,
-        runtime: RuntimeKind,
-        limit: usize,
-        out: &mut Vec<ContainerId>,
-    ) {
+    pub fn idle_warm_into(&self, runtime: RuntimeKind, limit: usize, out: &mut Vec<ContainerId>) {
         out.clear();
         out.extend(
             self.replicas

@@ -16,8 +16,8 @@ use bytes::Bytes;
 use canary_cluster::StorageHierarchy;
 use canary_core::checkpoint::build_payload;
 use canary_core::{
-    decode_manifest, encode_manifest, sequence_digest, restore_from_manifest, CanaryConfig, CanaryDb,
-    CheckpointingModule, ChunkStore, ManifestError,
+    decode_manifest, encode_manifest, restore_from_manifest, sequence_digest, CanaryConfig,
+    CanaryDb, CheckpointingModule, ChunkStore, ManifestError,
 };
 use canary_sim::{SimRng, SimTime};
 use std::sync::Arc;
@@ -87,7 +87,13 @@ fn dangling_chunk_hashes_fail_closed() {
     let victim = rng.u64_below(hashes.len() as u64) as usize;
     let dangling = rng.next_u64();
     hashes[victim] = dangling;
-    let wire = encode_manifest(3, None, &hashes, payload.len() as u64, sequence_digest(&hashes));
+    let wire = encode_manifest(
+        3,
+        None,
+        &hashes,
+        payload.len() as u64,
+        sequence_digest(&hashes),
+    );
     let m = decode_manifest(&wire, |_| None).expect("dangling hashes still decode");
     assert_eq!(
         restore_from_manifest(&m, &store),

@@ -48,7 +48,11 @@ fn multi_mib_payload_is_identical_across_worker_counts() {
     let expect = serial_hashes(&payload, 64 << 10);
     assert!(expect.len() > 100);
     for workers in [1, 2, 8] {
-        assert_eq!(for_workers(&payload, 64 << 10, workers), expect, "workers={workers}");
+        assert_eq!(
+            for_workers(&payload, 64 << 10, workers),
+            expect,
+            "workers={workers}"
+        );
     }
     // And therefore the manifest's sequence digest cannot depend on the
     // worker count either.
