@@ -38,6 +38,38 @@ fn cpu_ordinal(c: CpuClass) -> u8 {
     }
 }
 
+/// Price a checkpoint read over the path from the failed node to the
+/// metadata store, which lives with the cluster (modelled as the first
+/// worker): a degraded or partitioned path multiplies the read and adds
+/// the payload's wire time.
+fn over_network(
+    platform: &Platform,
+    failure: &FailureInfo,
+    duration: SimDuration,
+    bytes: u64,
+) -> SimDuration {
+    let cfg = platform.config();
+    let store = NodeId(0);
+    let factor = platform
+        .chaos()
+        .transfer_penalty(failure.node, store, failure.at);
+    if factor > 1.0 {
+        duration.mul_f64(factor)
+            + cfg
+                .network
+                .transfer_time_degraded(&cfg.cluster, failure.node, store, bytes, factor)
+    } else {
+        duration
+    }
+}
+
+/// Record a recovery that falls back past the newest checkpoint.
+fn note_fallback(platform: &mut Platform, event: TraceKind) {
+    platform.emit(event);
+    platform.counters_mut().restore_fallbacks += 1;
+    platform.telemetry_mut().incr(Counter::RestoreFallbacks);
+}
+
 /// Canary, assembled.
 pub struct CanaryStrategy {
     config: CanaryConfig,
@@ -164,81 +196,48 @@ impl CanaryStrategy {
             self.checkpointing
                 .restore_lookup(fn_id.0, node_lost, &|c| chaos.corrupted(fn_id.0, c))
         };
-        for &ckpt_id in &lookup.corrupted {
-            platform.emit(TraceKind::CheckpointCorrupted { fn_id, ckpt_id });
-            platform.telemetry_mut().incr(Counter::CheckpointsCorrupted);
-            self.land_chunk_corruption(platform, fn_id, ckpt_id);
-        }
-        match lookup.info {
-            Some(info) => {
-                // The metadata store lives with the cluster; model the
-                // read as coming from the first worker. A degraded or
-                // partitioned path multiplies the restore and adds the
-                // payload's wire time.
-                let duration = {
-                    let cfg = platform.config();
-                    let chaos = platform.chaos();
-                    let store = NodeId(0);
-                    let factor = chaos.transfer_penalty(failure.node, store, failure.at);
-                    if factor > 1.0 {
-                        info.duration.mul_f64(factor)
-                            + cfg.network.transfer_time_degraded(
-                                &cfg.cluster,
-                                failure.node,
-                                store,
-                                info.bytes,
-                                factor,
-                            )
-                    } else {
-                        info.duration
-                    }
-                };
-                if !lookup.corrupted.is_empty() {
-                    platform.emit(TraceKind::RestoreFallback {
-                        fn_id,
-                        state: info.resume_from_state,
-                    });
-                    platform.counters_mut().restore_fallbacks += 1;
-                    platform.telemetry_mut().incr(Counter::RestoreFallbacks);
-                }
-                platform.note_restore();
-                platform.emit(TraceKind::CheckpointRestored {
-                    fn_id,
-                    state: info.resume_from_state,
-                    bytes: info.bytes,
-                    tier: info.tier,
-                });
-                let tel = platform.telemetry_mut();
-                tel.observe(Phase::CheckpointRestore, duration);
-                tel.incr(Counter::CheckpointsRestored);
-                (info.resume_from_state, duration)
+        self.note_corrupted(platform, fn_id, &lookup.corrupted);
+        let Some(info) = lookup.info else {
+            if lookup.had_checkpoints {
+                // Every retained checkpoint was corrupted or its row
+                // lost to a store outage: rerun from the start.
+                note_fallback(platform, TraceKind::RestoreFallback { fn_id, state: 0 });
             }
-            None => {
-                if lookup.had_checkpoints {
-                    // Every retained checkpoint was corrupted or its row
-                    // lost to a store outage: rerun from the start.
-                    platform.emit(TraceKind::RestoreFallback { fn_id, state: 0 });
-                    platform.counters_mut().restore_fallbacks += 1;
-                    platform.telemetry_mut().incr(Counter::RestoreFallbacks);
-                }
-                (0, SimDuration::ZERO)
-            }
+            return (0, SimDuration::ZERO);
+        };
+        let duration = over_network(platform, failure, info.duration, info.bytes);
+        if !lookup.corrupted.is_empty() {
+            let state = info.resume_from_state;
+            note_fallback(platform, TraceKind::RestoreFallback { fn_id, state });
         }
+        platform.note_restore();
+        platform.emit(TraceKind::CheckpointRestored {
+            fn_id,
+            state: info.resume_from_state,
+            bytes: info.bytes,
+            tier: info.tier,
+        });
+        let tel = platform.telemetry_mut();
+        tel.observe(Phase::CheckpointRestore, duration);
+        tel.incr(Counter::CheckpointsRestored);
+        (info.resume_from_state, duration)
     }
 
-    /// In chunked mode a chaos corruption verdict damages a physical
-    /// chunk, not a whole blob: the chaos plan draws which chunk of the
-    /// manifest the fault lands on, and one bit of its stored body flips.
-    /// Byte-level restores then fail verification for exactly the
-    /// checkpoints referencing that chunk. Blob-oracle runs skip this —
-    /// the checkpoint-level verdict already is the whole story.
-    fn land_chunk_corruption(&mut self, platform: &Platform, fn_id: FnId, ckpt_id: u64) {
-        if self.checkpointing.options().blob_oracle {
-            return;
-        }
-        let count = self.checkpointing.chunk_count(fn_id.0, ckpt_id);
-        if let Some(idx) = platform.chaos().corrupted_chunk(fn_id.0, ckpt_id, count) {
-            self.checkpointing.corrupt_ckpt_chunk(fn_id.0, ckpt_id, idx);
+    /// Report each checkpoint a probe skipped as corrupted. In chunked
+    /// mode the verdict damages a physical chunk, not a whole blob: the
+    /// chaos plan draws which chunk of the manifest the fault lands on,
+    /// and one bit of its stored body flips, so byte-level restores fail
+    /// verification for exactly the checkpoints referencing that chunk.
+    /// A blob-oracle checkpoint has no chunks (count 0), so nothing lands
+    /// — the checkpoint-level verdict already is the whole story.
+    fn note_corrupted(&mut self, platform: &mut Platform, fn_id: FnId, corrupted: &[u64]) {
+        for &ckpt_id in corrupted {
+            platform.emit(TraceKind::CheckpointCorrupted { fn_id, ckpt_id });
+            platform.telemetry_mut().incr(Counter::CheckpointsCorrupted);
+            let count = self.checkpointing.chunk_count(fn_id.0, ckpt_id);
+            if let Some(idx) = platform.chaos().corrupted_chunk(fn_id.0, ckpt_id, count) {
+                self.checkpointing.corrupt_ckpt_chunk(fn_id.0, ckpt_id, idx);
+            }
         }
     }
 
@@ -246,10 +245,10 @@ impl CanaryStrategy {
     /// manifest-reachable state moves to the warm replica — only the
     /// chunks the replica lacks travel over the shared tier — and
     /// execution resumes from the newest usable checkpoint there. Probes
-    /// and degradation pricing mirror [`Self::restore_plan`]; the win is
-    /// the delta-sized transfer. With no usable checkpoint the replica
-    /// reruns from the start (migration never resurrects a corrupted
-    /// checkpoint).
+    /// and degradation pricing are those of [`Self::restore_plan`]; the
+    /// win is the delta-sized transfer. With no usable checkpoint the
+    /// replica reruns from the start (migration never resurrects a
+    /// corrupted checkpoint).
     fn migrate_recovery(
         &mut self,
         platform: &mut Platform,
@@ -264,69 +263,42 @@ impl CanaryStrategy {
             self.checkpointing
                 .migrate_lookup(fn_id.0, &|c| chaos.corrupted(fn_id.0, c))
         };
-        for &ckpt_id in &lookup.corrupted {
-            platform.emit(TraceKind::CheckpointCorrupted { fn_id, ckpt_id });
-            platform.telemetry_mut().incr(Counter::CheckpointsCorrupted);
-            self.land_chunk_corruption(platform, fn_id, ckpt_id);
-        }
-        match lookup.info {
-            Some(info) => {
-                let duration = {
-                    let cfg = platform.config();
-                    let chaos = platform.chaos();
-                    let store = NodeId(0);
-                    let factor = chaos.transfer_penalty(failure.node, store, failure.at);
-                    if factor > 1.0 {
-                        info.duration.mul_f64(factor)
-                            + cfg.network.transfer_time_degraded(
-                                &cfg.cluster,
-                                failure.node,
-                                store,
-                                info.bytes,
-                                factor,
-                            )
-                    } else {
-                        info.duration
-                    }
-                };
-                platform.note_restore();
-                platform.emit(TraceKind::MigrationPlanned {
-                    fn_id,
-                    container,
-                    ckpt_id: info.ckpt_id,
-                    chunks: info.chunks,
-                    bytes: info.bytes,
-                });
-                let counters = platform.counters_mut();
-                counters.migrations += 1;
-                counters.chunks_migrated += info.chunks as u64;
-                let tel = platform.telemetry_mut();
-                tel.observe(Phase::CheckpointRestore, duration);
-                tel.incr(Counter::CheckpointsRestored);
-                tel.incr(Counter::Migrations);
-                tel.add(Counter::ChunksMigrated, info.chunks as u64);
-                RecoveryPlan {
-                    resume_from_state: info.resume_from_state,
-                    delay: detect + migrate + duration,
-                    target: RecoveryTarget::WarmContainer(container),
-                    detect,
-                    restore: duration,
-                }
+        self.note_corrupted(platform, fn_id, &lookup.corrupted);
+        let Some(info) = lookup.info else {
+            if lookup.had_checkpoints {
+                note_fallback(platform, TraceKind::MigrationFallback { fn_id });
             }
-            None => {
-                if lookup.had_checkpoints {
-                    platform.emit(TraceKind::MigrationFallback { fn_id });
-                    platform.counters_mut().restore_fallbacks += 1;
-                    platform.telemetry_mut().incr(Counter::RestoreFallbacks);
-                }
-                RecoveryPlan {
-                    resume_from_state: 0,
-                    delay: detect + migrate,
-                    target: RecoveryTarget::WarmContainer(container),
-                    detect,
-                    restore: SimDuration::ZERO,
-                }
-            }
+            return RecoveryPlan {
+                resume_from_state: 0,
+                delay: detect + migrate,
+                target: RecoveryTarget::WarmContainer(container),
+                detect,
+                restore: SimDuration::ZERO,
+            };
+        };
+        let duration = over_network(platform, failure, info.duration, info.bytes);
+        platform.note_restore();
+        platform.emit(TraceKind::MigrationPlanned {
+            fn_id,
+            container,
+            ckpt_id: info.ckpt_id,
+            chunks: info.chunks,
+            bytes: info.bytes,
+        });
+        let counters = platform.counters_mut();
+        counters.migrations += 1;
+        counters.chunks_migrated += info.chunks as u64;
+        let tel = platform.telemetry_mut();
+        tel.observe(Phase::CheckpointRestore, duration);
+        tel.incr(Counter::CheckpointsRestored);
+        tel.incr(Counter::Migrations);
+        tel.add(Counter::ChunksMigrated, info.chunks as u64);
+        RecoveryPlan {
+            resume_from_state: info.resume_from_state,
+            delay: detect + migrate + duration,
+            target: RecoveryTarget::WarmContainer(container),
+            detect,
+            restore: duration,
         }
     }
 
@@ -365,38 +337,24 @@ impl FtStrategy for CanaryStrategy {
 
     fn on_job_arrival(&mut self, platform: &mut Platform, job: JobId) -> ArrivalVerdict {
         // Request validation runs at arrival (§IV-C.2), against the live
-        // inflight count — the validator's verdicts now reflect real
-        // headroom rather than an empty account.
+        // inflight count — the validator's verdicts reflect real headroom
+        // rather than an empty account.
         self.register_workers(platform);
         let spec = {
             let j = platform.job(job);
             canary_platform::JobSpec::new((*j.workload).clone(), j.fn_ids.len() as u32)
         };
-        let gated = platform.config().max_inflight.is_some();
         match self.validator.admit(&spec, platform.inflight_functions()) {
-            Ok(Admission::Admit) => {
-                if gated && platform.admission_queue_len() > 0 {
-                    // FIFO admission: there is headroom, but jobs are
-                    // already held — this one must not overtake them.
-                    // Mirror the hold so the validator's queue stays in
-                    // step with the engine's.
-                    self.validator.enqueue(spec);
-                    ArrivalVerdict::Queue
-                } else {
-                    ArrivalVerdict::Admit
-                }
+            // The engine owns the FIFO admission queue and holds even an
+            // `Admit` behind jobs already queued, so only a quota overrun
+            // needs a `Queue` verdict — and only under an engine gate.
+            // Without one, quotas are sized so closed-batch runs always
+            // fit and nothing would ever drain a held job: admit rather
+            // than wedge.
+            Ok(Admission::Queue) if platform.config().max_inflight.is_some() => {
+                ArrivalVerdict::Queue
             }
-            Ok(Admission::Queue) => {
-                if gated {
-                    self.validator.enqueue(spec);
-                    ArrivalVerdict::Queue
-                } else {
-                    // No engine gate: quotas are sized so closed-batch
-                    // runs always fit, and nothing would ever drain a
-                    // held job. Admit rather than wedge.
-                    ArrivalVerdict::Admit
-                }
-            }
+            Ok(_) => ArrivalVerdict::Admit,
             Err(_) => ArrivalVerdict::Reject,
         }
     }
@@ -686,17 +644,6 @@ impl FtStrategy for CanaryStrategy {
         // Shrink the pool as work drains (dynamic policies track active
         // functions downward too).
         self.reconcile_pool(platform, runtime);
-        // Capacity freed: drain the validator's mirror of the admission
-        // queue. The engine invokes this hook after decrementing its
-        // inflight count but before releasing queued jobs, so draining
-        // against the live count reproduces exactly the head-of-line
-        // release set the engine computes next — the two queues move in
-        // lockstep.
-        if platform.config().max_inflight.is_some() {
-            let _released = self
-                .validator
-                .drain_admissible(platform.inflight_functions());
-        }
     }
 
     fn on_run_end(&mut self, platform: &mut Platform) {

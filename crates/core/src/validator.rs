@@ -3,11 +3,12 @@
 //! §IV-C.2: prevents request failures before processing begins — it checks
 //! that requested resources are within platform limits and that launching
 //! the job's functions would not exceed the account's concurrency limit;
-//! jobs that would exceed it are queued until capacity frees up.
+//! jobs that would exceed it are queued until capacity frees up. The
+//! validator is stateless: it only judges requests against its limits,
+//! and the engine owns the one admission queue that holds them.
 
 use canary_platform::{JobSpec, RunConfigError};
 use serde::{Deserialize, Serialize};
-use std::collections::VecDeque;
 use std::error::Error;
 use std::fmt;
 
@@ -99,20 +100,16 @@ pub enum Admission {
     Queue,
 }
 
-/// The validator: stateless checks plus the job queue.
-#[derive(Debug)]
+/// The validator: stateless checks against the platform limits.
+#[derive(Debug, Default)]
 pub struct RequestValidator {
     limits: PlatformLimits,
-    queued: VecDeque<JobSpec>,
 }
 
 impl RequestValidator {
     /// Validator with the given limits.
     pub fn new(limits: PlatformLimits) -> Self {
-        RequestValidator {
-            limits,
-            queued: VecDeque::new(),
-        }
+        RequestValidator { limits }
     }
 
     /// The configured limits.
@@ -166,41 +163,6 @@ impl RequestValidator {
         } else {
             Ok(Admission::Queue)
         }
-    }
-
-    /// Queue a job that could not be admitted yet.
-    pub fn enqueue(&mut self, job: JobSpec) {
-        self.queued.push_back(job);
-    }
-
-    /// Head-of-line FIFO drain: pop queued jobs from the front while the
-    /// next one fits within the concurrency headroom, stopping at the
-    /// first that does not. No job can overtake an earlier one, so
-    /// admission order is starvation-free under sustained overload
-    /// (capacity-freed events eventually reach every queued job in
-    /// submission order).
-    pub fn drain_admissible(&mut self, active: u32) -> Vec<JobSpec> {
-        let mut headroom = self.limits.max_concurrent.saturating_sub(active);
-        let mut released = Vec::new();
-        while let Some(front) = self.queued.front() {
-            if front.invocations > headroom {
-                break;
-            }
-            headroom -= front.invocations;
-            released.push(self.queued.pop_front().expect("front was just checked"));
-        }
-        released
-    }
-
-    /// Jobs waiting in the queue.
-    pub fn queued_len(&self) -> usize {
-        self.queued.len()
-    }
-}
-
-impl Default for RequestValidator {
-    fn default() -> Self {
-        Self::new(PlatformLimits::default())
     }
 }
 
@@ -265,45 +227,6 @@ mod tests {
         let v = RequestValidator::new(limits);
         assert_eq!(v.admit(&job(60), 50).unwrap(), Admission::Queue);
         assert_eq!(v.admit(&job(50), 50).unwrap(), Admission::Admit);
-    }
-
-    #[test]
-    fn drain_is_head_of_line_fifo() {
-        let limits = PlatformLimits {
-            max_concurrent: 100,
-            ..Default::default()
-        };
-        let mut v = RequestValidator::new(limits);
-        v.enqueue(job(80));
-        v.enqueue(job(10));
-        v.enqueue(job(10));
-        // 50 active: the 80 at the head does not fit, and the 10s behind
-        // it must NOT overtake — nothing drains.
-        assert!(v.drain_admissible(50).is_empty());
-        assert_eq!(v.queued_len(), 3);
-        // All capacity freed: 80+10+10 = 100 fits the full headroom, so
-        // all three drain in FIFO order.
-        let released = v.drain_admissible(0);
-        let sizes: Vec<u32> = released.iter().map(|j| j.invocations).collect();
-        assert_eq!(sizes, vec![80, 10, 10]);
-        assert_eq!(v.queued_len(), 0);
-    }
-
-    #[test]
-    fn drain_stops_at_first_non_fit() {
-        let limits = PlatformLimits {
-            max_concurrent: 100,
-            ..Default::default()
-        };
-        let mut v = RequestValidator::new(limits);
-        v.enqueue(job(30));
-        v.enqueue(job(60));
-        v.enqueue(job(5));
-        // Headroom 50: the 30 drains, the 60 blocks, the 5 stays behind it.
-        let released = v.drain_admissible(50);
-        let sizes: Vec<u32> = released.iter().map(|j| j.invocations).collect();
-        assert_eq!(sizes, vec![30]);
-        assert_eq!(v.queued_len(), 2);
     }
 
     #[test]

@@ -1,18 +1,22 @@
 //! Differential property tests for content-addressed chunked
 //! checkpoints: under arbitrary register / checkpoint / corrupt / fail /
-//! restore sequences, the chunked module must be observationally
-//! identical to the whole-blob oracle — byte-identical restores, the
-//! same fallback decisions under chunk corruption, the same
-//! node-loss recovery lookups — and its chunk refcounts must tie out
-//! exactly against the retained manifests after every single op (no
-//! chunk leaked past retention GC, none freed while still referenced).
+//! restore / store-outage / window-resize sequences, the chunked module
+//! must be observationally identical to the whole-blob oracle —
+//! byte-identical restores, the same fallback decisions under chunk
+//! corruption, the same node-loss recovery lookups — and after every
+//! single op both must hold exactly the harness's model of the retained
+//! window (ids contiguous apart from spent ids, ending at the newest; no
+//! row or payload left behind by eviction), with chunk refcounts tying
+//! out against the modelled manifests (no chunk leaked past retention GC
+//! or a failed commit, none freed while still referenced).
 
 use canary_cluster::StorageHierarchy;
-use canary_core::{CanaryConfig, CanaryDb, CheckpointingModule, CkptOptions};
+use canary_core::db::payload_location;
+use canary_core::{CanaryConfig, CanaryDb, CheckpointingModule, CkptOptions, DbError};
 use canary_sim::SimTime;
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
-use std::collections::{HashMap, HashSet};
+use std::collections::{HashMap, HashSet, VecDeque};
 use std::sync::Arc;
 
 const FNS: u64 = 4;
@@ -31,6 +35,14 @@ enum Op {
     FailLookup(u8, bool),
     /// Drop every checkpoint of function `f`.
     Forget(u8),
+    /// Total store outage: every member of both modules' databases goes
+    /// down, a record of function `f` fails on each (spending its id),
+    /// and one member rejoins empty — every stored row is lost.
+    StoreOutage(u8),
+    /// Resize the window through `adjust_window_for`: 0 = a payload over
+    /// the KV entry limit (2), 1 = 40 or more states (5), else the
+    /// default (3).
+    AdjustWindow(u8),
 }
 
 fn op_strategy() -> impl Strategy<Value = Op> {
@@ -43,24 +55,18 @@ fn op_strategy() -> impl Strategy<Value = Op> {
         (0u8..FNS as u8).prop_map(Op::Restore),
         ((0u8..FNS as u8), any::<bool>()).prop_map(|(f, n)| Op::FailLookup(f, n)),
         (0u8..FNS as u8).prop_map(Op::Forget),
+        (0u8..FNS as u8).prop_map(Op::StoreOutage),
+        (0u8..3).prop_map(Op::AdjustWindow),
     ]
 }
 
-fn chunked_module() -> CheckpointingModule {
-    CheckpointingModule::new(
-        CanaryConfig::default(),
-        StorageHierarchy::default(),
-        Arc::new(CanaryDb::new(3)),
-    )
-}
-
-fn oracle_module() -> CheckpointingModule {
+fn module(db: &Arc<CanaryDb>, blob_oracle: bool) -> CheckpointingModule {
     CheckpointingModule::with_options(
         CanaryConfig::default(),
         StorageHierarchy::default(),
-        Arc::new(CanaryDb::new(3)),
+        Arc::clone(db),
         CkptOptions {
-            blob_oracle: true,
+            blob_oracle,
             ..CkptOptions::default()
         },
     )
@@ -79,24 +85,21 @@ fn affected(chunked: &CheckpointingModule, fn_id: u64, ckpt_id: u64) -> bool {
     })
 }
 
-/// Chunk refcounts must equal the retained manifests' entry count after
-/// every op: eviction and forget release exactly their references,
-/// nothing more, nothing less.
-fn refcounts_tie_out(chunked: &CheckpointingModule) -> Result<(), TestCaseError> {
-    prop_assert_eq!(
-        chunked.chunk_store().total_refs(),
-        chunked.retained_entry_count(),
-        "chunk refcounts must mirror retained manifest entries"
-    );
-    Ok(())
-}
+const SPEC_BYTES: u64 = 256 * 1024;
+
+/// What `record` returns: the evicted id, or the failed commit's error.
+type Recorded = Result<Option<u64>, DbError>;
 
 struct Harness {
     chunked: CheckpointingModule,
     blob: CheckpointingModule,
-    /// Recorded checkpoint ids per function, oldest first (the retained
-    /// window is the tail).
-    recorded: HashMap<u64, Vec<u64>>,
+    /// The chunked and the blob module's databases, in that order.
+    dbs: [Arc<CanaryDb>; 2],
+    /// Next checkpoint id per function, committed and spent alike (the
+    /// id doubles as the recorded state index).
+    next_id: HashMap<u64, u64>,
+    /// The modelled window: committed ids per function, oldest first.
+    retained: HashMap<u64, VecDeque<u64>>,
     /// Hashes whose bodies were already damaged: a second flip of the
     /// same bit would silently repair the chunk, so corruption ops skip
     /// them.
@@ -105,51 +108,102 @@ struct Harness {
 
 impl Harness {
     fn new() -> Self {
+        let dbs = [Arc::new(CanaryDb::new(3)), Arc::new(CanaryDb::new(3))];
         Harness {
-            chunked: chunked_module(),
-            blob: oracle_module(),
-            recorded: HashMap::new(),
+            chunked: module(&dbs[0], false),
+            blob: module(&dbs[1], true),
+            dbs,
+            next_id: HashMap::new(),
+            retained: HashMap::new(),
             corrupted: HashSet::new(),
         }
     }
 
-    fn retained_of(&self, fn_id: u64) -> &[u64] {
-        let all = self
-            .recorded
+    fn retained_of(&self, fn_id: u64) -> Vec<u64> {
+        self.retained
             .get(&fn_id)
-            .map_or(&[] as &[u64], |v| v.as_slice());
-        let window = self.chunked.window_size();
-        &all[all.len().saturating_sub(window)..]
+            .map_or_else(Vec::new, |r| r.iter().copied().collect())
+    }
+
+    /// Take the next id of `fn_id` and record it on both modules.
+    fn record(&mut self, fn_id: u64) -> (u64, Recorded, Recorded) {
+        let next = self.next_id.entry(fn_id).or_default();
+        let id = *next;
+        *next += 1;
+        let now = SimTime::from_micros(id + 1);
+        let a = self
+            .chunked
+            .record(fn_id as u32, fn_id, id as u32, SPEC_BYTES, now);
+        let b = self
+            .blob
+            .record(fn_id as u32, fn_id, id as u32, SPEC_BYTES, now);
+        (id, a, b)
+    }
+
+    /// Both modules hold exactly the modelled window: the same retained
+    /// ids (the chunked module's manifests), no database row or payload
+    /// outside it, and chunk refcounts equal to the modelled manifests'
+    /// entry count — eviction, forget and failed commits release exactly
+    /// their references, nothing more, nothing less.
+    fn check_model(&self) -> Result<(), TestCaseError> {
+        let mut refs = 0u64;
+        for fn_id in 0..FNS {
+            let model = self.retained_of(fn_id);
+            prop_assert!(model.len() <= self.chunked.window_size());
+            prop_assert_eq!(self.chunked.retained(fn_id), model.len());
+            prop_assert_eq!(self.blob.retained(fn_id), model.len());
+            let next = self.next_id.get(&fn_id).copied().unwrap_or(0);
+            let held: Vec<u64> = (0..next)
+                .filter(|&id| self.chunked.chunk_hashes(fn_id, id).is_some())
+                .collect();
+            prop_assert_eq!(&held, &model, "manifests held for exactly the window");
+            for db in &self.dbs {
+                let rows = db.checkpoints_of(fn_id).expect("store is up between ops");
+                prop_assert!(
+                    rows.iter().all(|r| model.contains(&r.ckpt_id)),
+                    "no row survives eviction"
+                );
+                for id in (0..next).filter(|id| !model.contains(id)) {
+                    prop_assert!(
+                        db.get_payload(payload_location(fn_id, id)).is_err(),
+                        "no payload survives eviction or a failed commit"
+                    );
+                }
+            }
+            refs += model
+                .iter()
+                .map(|&id| {
+                    self.chunked
+                        .chunk_hashes(fn_id, id)
+                        .map_or(0, |h| h.len() as u64)
+                })
+                .sum::<u64>();
+        }
+        prop_assert_eq!(
+            self.chunked.chunk_store().total_refs(),
+            refs,
+            "chunk refcounts must mirror the modelled manifests"
+        );
+        Ok(())
     }
 
     fn apply(&mut self, op: &Op) -> Result<(), TestCaseError> {
         match *op {
             Op::Record(f) => {
                 let fn_id = f as u64;
-                let state = self.recorded.get(&fn_id).map_or(0, |v| v.len()) as u32;
-                let now = SimTime::from_micros(state as u64 + 1);
-                let a = self
-                    .chunked
-                    .record(f as u32, fn_id, state, 256 * 1024, now)
-                    .expect("chunked record");
-                let b = self
-                    .blob
-                    .record(f as u32, fn_id, state, 256 * 1024, now)
-                    .expect("blob record");
-                // `record` returns the id evicted from the retained
-                // window; new ids are assigned sequentially, so the new
-                // checkpoint's id equals the record count so far.
+                let (id, a, b) = self.record(fn_id);
+                let (a, b) = (a.expect("chunked record"), b.expect("blob record"));
+                // `record` returns the id evicted from the retained window.
                 prop_assert_eq!(a, b, "both modules evict the same ckpt id");
-                let expect_evicted = {
-                    let v = self
-                        .recorded
-                        .get(&fn_id)
-                        .map_or(&[] as &[u64], |v| v.as_slice());
-                    let w = self.chunked.window_size();
-                    (v.len() >= w).then(|| v[v.len() - w])
+                let window = self.chunked.window_size();
+                let model = self.retained.entry(fn_id).or_default();
+                model.push_back(id);
+                let expect_evicted = if model.len() > window {
+                    model.pop_front()
+                } else {
+                    None
                 };
                 prop_assert_eq!(a, expect_evicted, "eviction follows the window");
-                self.recorded.entry(fn_id).or_default().push(state as u64);
             }
             Op::CorruptChunk(f, ckpt_sel, chunk_sel) => {
                 let fn_id = f as u64;
@@ -208,10 +262,60 @@ impl Harness {
                 let fn_id = f as u64;
                 self.chunked.forget(fn_id).expect("chunked forget");
                 self.blob.forget(fn_id).expect("blob forget");
-                self.recorded.remove(&fn_id);
+                let next = self.next_id.remove(&fn_id).unwrap_or(0);
+                self.retained.remove(&fn_id);
+                for db in &self.dbs {
+                    prop_assert!(db.checkpoints_of(fn_id).expect("store is up").is_empty());
+                    for id in 0..next {
+                        prop_assert!(db.get_payload(payload_location(fn_id, id)).is_err());
+                    }
+                }
+            }
+            Op::StoreOutage(f) => {
+                for db in &self.dbs {
+                    for member in 0..db.kv().member_count() {
+                        db.kv().fail_node(member).expect("known member");
+                    }
+                }
+                let (_, a, b) = self.record(f as u64);
+                prop_assert!(a.is_err() && b.is_err(), "a commit to a dead store fails");
+                for db in &self.dbs {
+                    db.kv().rejoin_empty(0).expect("known member");
+                }
+            }
+            Op::AdjustWindow(sel) => {
+                let (spec_bytes, states, target) = match sel {
+                    0 => (16 << 20, 1, 2),
+                    1 => (1024, 40, 5),
+                    _ => (1024, 1, 3),
+                };
+                self.chunked.adjust_window_for(spec_bytes, states);
+                self.blob.adjust_window_for(spec_bytes, states);
+                prop_assert_eq!(self.chunked.window_size(), target);
+                prop_assert_eq!(self.blob.window_size(), target);
+                // Shrinking evicts at once; growing keeps everything.
+                for model in self.retained.values_mut() {
+                    while model.len() > target {
+                        model.pop_front();
+                    }
+                }
+                // The newest checkpoint stays restorable wherever its
+                // row survived and no corruption reached it.
+                for fn_id in 0..FNS {
+                    let Some(&newest) = self.retained.get(&fn_id).and_then(|m| m.back()) else {
+                        continue;
+                    };
+                    let rows = self.dbs[0].checkpoints_of(fn_id).expect("store is up");
+                    if rows.iter().any(|r| r.ckpt_id == newest)
+                        && !affected(&self.chunked, fn_id, newest)
+                    {
+                        let got = self.chunked.restore_payload(fn_id, &|_| false);
+                        prop_assert_eq!(got.map(|(id, _)| id), Some(newest));
+                    }
+                }
             }
         }
-        refcounts_tie_out(&self.chunked)
+        self.check_model()
     }
 }
 

@@ -10,8 +10,6 @@
 //!   crash / resynchronize semantics,
 //! - [`AsyncFlusher`] + [`PersistentLog`]: asynchronous flushing of
 //!   checkpoints to shared storage (§IV-C.4b),
-//! - [`CheckpointWindow`]: the latest-*n* checkpoint ring with dynamic
-//!   window adjustment (initially 3),
 //! - [`Wal`]: write-ahead log + compacting snapshots behind the replica
 //!   group — the "native persistence" half of the Ignite deployment,
 //!   which lets the control plane recover its metadata after a crash.
@@ -25,11 +23,9 @@ pub mod persistence;
 pub mod replicated;
 pub mod store;
 pub mod wal;
-pub mod window;
 
 pub use error::KvError;
 pub use persistence::{AsyncFlusher, LogRecord, PersistentLog};
 pub use replicated::{ReplicatedKv, WalRecovery};
 pub use store::{KvStore, StoreConfig};
 pub use wal::{SnapshotState, Wal, WalConfig, WalError, WalOp, WalReplay, WalStats};
-pub use window::{CheckpointMeta, CheckpointWindow, DEFAULT_WINDOW};

@@ -1,7 +1,7 @@
 //! Property-based tests for the KV-store substrate.
 
 use bytes::Bytes;
-use canary_kvstore::{CheckpointMeta, CheckpointWindow, KvStore, ReplicatedKv, StoreConfig};
+use canary_kvstore::{KvStore, ReplicatedKv, StoreConfig};
 use proptest::prelude::*;
 
 /// An operation against the replicated store.
@@ -93,60 +93,6 @@ proptest! {
         // Both are sorted and contain only matching keys.
         prop_assert!(ranged.windows(2).all(|w| w[0] < w[1]));
         prop_assert!(ranged.iter().all(|k| k.as_ref().starts_with(&prefix[..])));
-    }
-
-    /// The checkpoint window never retains more than `n` checkpoints per
-    /// function, and always retains the latest.
-    #[test]
-    fn window_bounds_hold(
-        n in 1usize..6,
-        pushes in proptest::collection::vec(0u64..8, 1..80),
-    ) {
-        let w = CheckpointWindow::new(n);
-        let mut counters = std::collections::HashMap::new();
-        for fn_id in pushes {
-            let next = counters.entry(fn_id).or_insert(0u64);
-            let meta = CheckpointMeta {
-                fn_id,
-                ckpt_id: *next,
-                state_index: *next,
-                bytes: 1,
-                location: Bytes::from(format!("{fn_id}/{next}")),
-            };
-            *next += 1;
-            w.push(fn_id, meta);
-            prop_assert!(w.count(fn_id) <= n);
-            prop_assert_eq!(w.latest(fn_id).unwrap().ckpt_id, *next - 1);
-            // Retained ids are contiguous and end at the latest.
-            let all = w.all(fn_id);
-            for (i, m) in all.iter().enumerate() {
-                prop_assert_eq!(m.ckpt_id, *next - all.len() as u64 + i as u64);
-            }
-        }
-    }
-
-    /// Shrinking then growing the window never loses the latest
-    /// checkpoint.
-    #[test]
-    fn resize_preserves_latest(sizes in proptest::collection::vec(1usize..6, 1..20)) {
-        let w = CheckpointWindow::new(3);
-        for i in 0..10u64 {
-            w.push(
-                1,
-                CheckpointMeta {
-                    fn_id: 1,
-                    ckpt_id: i,
-                    state_index: i,
-                    bytes: 1,
-                    location: Bytes::from(format!("1/{i}")),
-                },
-            );
-        }
-        for n in sizes {
-            w.set_window(n);
-            prop_assert_eq!(w.latest(1).unwrap().ckpt_id, 9);
-            prop_assert!(w.count(1) <= n.max(1));
-        }
     }
 }
 

@@ -74,13 +74,6 @@ pub struct Platform {
     pool: EventPool,
     /// Rack→shard routing for node-affine events; id-spread for the rest.
     shard_map: ShardMap,
-    /// One independent split-PRNG child stream per shard, reserved for
-    /// shard-local decisions. The engine itself never draws from these
-    /// (simulation behavior must not depend on the shard count); they
-    /// exist so per-shard machinery — future parallel executors,
-    /// shard-local sampling — has a stream that is stable under resharding
-    /// of *other* shards.
-    shard_rngs: Vec<SimRng>,
     registry: ContainerRegistry,
     coldstart: ColdStartModel,
     injector: FailureInjector,
@@ -148,12 +141,6 @@ impl Platform {
         let strategy_rng = SimRng::seed_from_u64(config.seed).split(0x57_A7);
         let shards = config.shards.max(1);
         let shard_map = ShardMap::new(&config.cluster, shards);
-        // Child streams keyed by shard index: splitting is stable and
-        // non-advancing, so shard k's stream is the same no matter how
-        // many sibling shards exist.
-        let shard_rngs = (0..shards)
-            .map(|s| SimRng::seed_from_u64(config.seed).split(0x5A4D_0000 | s as u64))
-            .collect();
         Ok(Platform {
             registry,
             coldstart: ColdStartModel::new(),
@@ -184,7 +171,6 @@ impl Platform {
             queue: ShardedEventQueue::new(shards as usize),
             pool: EventPool::default(),
             shard_map,
-            shard_rngs,
             config,
         })
     }
@@ -326,16 +312,6 @@ impl Platform {
     /// Deterministic RNG stream reserved for strategy decisions.
     pub fn strategy_rng(&mut self) -> &mut SimRng {
         &mut self.strategy_rng
-    }
-
-    /// Deterministic RNG child stream of one event-loop shard. Streams
-    /// are split per shard index from the master seed, so shard `k`'s
-    /// stream does not depend on the total shard count or on draws taken
-    /// from any sibling. Reserved for shard-local machinery; the engine
-    /// itself never draws from these (the simulated timeline must be
-    /// independent of `RunConfig::shards`).
-    pub fn shard_rng(&mut self, shard: usize) -> &mut SimRng {
-        &mut self.shard_rngs[shard]
     }
 
     /// Record a checkpoint write (counters only; the strategy owns the

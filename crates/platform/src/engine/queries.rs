@@ -123,11 +123,6 @@ impl Platform {
         self.inflight
     }
 
-    /// Jobs currently held in the FIFO admission queue.
-    pub fn admission_queue_len(&self) -> usize {
-        self.admission_queue.len()
-    }
-
     /// Event-loop shards in this run (≥ 1; 1 is the legacy single-queue
     /// layout). Purely structural — no simulation outcome depends on it.
     pub fn shard_count(&self) -> usize {
