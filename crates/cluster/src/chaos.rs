@@ -121,6 +121,11 @@ impl Default for ChaosSpec {
     }
 }
 
+/// A slowdown multiplier must be finite and at least 1 (`NaN` fails both).
+fn is_factor(f: f64) -> bool {
+    f.is_finite() && f >= 1.0
+}
+
 impl ChaosSpec {
     /// True when the spec injects no faults at all.
     pub fn is_empty(&self) -> bool {
@@ -164,8 +169,11 @@ impl ChaosSpec {
                     d.from_s, d.until_s
                 ));
             }
-            if d.factor < 1.0 {
-                return Err(format!("degrade factor {} must be ≥ 1", d.factor));
+            if !is_factor(d.factor) {
+                return Err(format!(
+                    "degrade factor {} must be finite and ≥ 1",
+                    d.factor
+                ));
             }
         }
         for b in &self.bursts {
@@ -176,18 +184,18 @@ impl ChaosSpec {
         if !(0.0..=1.0).contains(&self.straggler_rate) {
             return Err(format!("straggler rate {}", self.straggler_rate));
         }
-        if self.straggler_factor < 1.0 {
+        if !is_factor(self.straggler_factor) {
             return Err(format!(
-                "straggler factor {} must be ≥ 1",
+                "straggler factor {} must be finite and ≥ 1",
                 self.straggler_factor
             ));
         }
         if !(0.0..=1.0).contains(&self.corruption_rate) {
             return Err(format!("corruption rate {}", self.corruption_rate));
         }
-        if self.partition_penalty < 1.0 {
+        if !is_factor(self.partition_penalty) {
             return Err(format!(
-                "partition penalty {} must be ≥ 1",
+                "partition penalty {} must be finite and ≥ 1",
                 self.partition_penalty
             ));
         }
@@ -592,6 +600,29 @@ mod tests {
         s.store_outages.clear();
         s.straggler_rate = 1.5;
         assert!(s.validate().is_err());
+    }
+
+    #[test]
+    fn validate_requires_finite_factors() {
+        for bad in [f64::NAN, f64::INFINITY] {
+            let straggler = ChaosSpec {
+                straggler_factor: bad,
+                ..ChaosSpec::default()
+            };
+            assert!(straggler.validate().is_err(), "straggler factor {bad}");
+            let penalty = ChaosSpec {
+                partition_penalty: bad,
+                ..ChaosSpec::default()
+            };
+            assert!(penalty.validate().is_err(), "partition penalty {bad}");
+            let mut degrade = ChaosSpec::default();
+            degrade.degrades.push(DegradeSpec {
+                factor: bad,
+                from_s: 0,
+                until_s: 5,
+            });
+            assert!(degrade.validate().is_err(), "degrade factor {bad}");
+        }
     }
 
     #[test]

@@ -196,6 +196,16 @@ fn parse_number(key: &str, raw: &str) -> Result<f64, String> {
         .map_err(|_| format!("bad number {raw:?} for key {key:?}"))
 }
 
+/// Exclusive upper bound of an integer-valued block key: 2^32 for the
+/// `u32` keys, 2^64 for the `u64` ones, `None` for a real-valued key.
+fn integer_bound(key: &str) -> Option<f64> {
+    match key {
+        "a" | "b" | "member" | "rack" | "count" => Some(2f64.powi(32)),
+        "from_s" | "until_s" | "rejoin_s" | "at_s" | "at_us" => Some(2f64.powi(64)),
+        _ => None,
+    }
+}
+
 /// One accumulated `[[block]]` of `key = number` lines.
 #[derive(Debug, Default)]
 struct Block {
@@ -292,7 +302,18 @@ pub fn parse_spec(src: &str) -> Result<ChaosSpec, String> {
         let (key, value) = (key.trim(), value.trim());
         let num = parse_number(key, value).map_err(at)?;
         match &mut current {
-            Some((_, block)) => block.fields.push((key.to_string(), num)),
+            Some((_, block)) => {
+                // Integer keys take whole, in-range values only, so the
+                // casts in `finish_block` are exact.
+                if let Some(bound) = integer_bound(key) {
+                    if !(num >= 0.0 && num.fract() == 0.0 && num < bound) {
+                        return Err(at(format!(
+                            "{key} = {value} is not a whole number in [0, {bound})"
+                        )));
+                    }
+                }
+                block.fields.push((key.to_string(), num));
+            }
             None => match key {
                 "straggler_rate" => spec.straggler_rate = num,
                 "straggler_factor" => spec.straggler_factor = num,
@@ -431,6 +452,75 @@ mod tests {
 
         let err = parse_spec("straggler_rate = banana\n").unwrap_err();
         assert!(err.contains("banana"), "{err}");
+    }
+
+    #[test]
+    fn integer_keys_reject_negative_fractional_non_finite_and_out_of_range_values() {
+        let cases = [
+            (
+                "[[store_outage]]\nmember = -1\nfrom_s = 10\n",
+                "line 2",
+                "member",
+            ),
+            (
+                "[[store_outage]]\nmember = 1.7\nfrom_s = 10\n",
+                "line 2",
+                "member",
+            ),
+            (
+                "[[store_outage]]\nmember = 1\nfrom_s = 2.9\n",
+                "line 3",
+                "from_s",
+            ),
+            (
+                "[[burst]]\nat_s = 15\nrack = 4294967296\ncount = 2\n",
+                "line 3",
+                "rack",
+            ),
+            (
+                "[[burst]]\nat_s = 15\nrack = 0\ncount = 1e12\n",
+                "line 4",
+                "count",
+            ),
+            ("[[controller_crash]]\nat_us = 1e30\n", "line 2", "at_us"),
+            (
+                "[[partition]]\na = nan\nb = 3\nfrom_s = 5\nuntil_s = 20\n",
+                "line 2",
+                "a",
+            ),
+            (
+                "[[partition]]\na = 0\nb = 3\nfrom_s = 5\nuntil_s = inf\n",
+                "line 5",
+                "until_s",
+            ),
+        ];
+        for (src, line, key) in cases {
+            let err = parse_spec(src).unwrap_err();
+            assert!(err.starts_with(line) && err.contains(key), "{src:?}: {err}");
+        }
+        // The extremes of each integer type still parse, exactly.
+        let spec = parse_spec(
+            "[[burst]]\nat_s = 15\nrack = 4294967295\ncount = 2\n\
+             [[controller_crash]]\nat_us = 18446744073709549568\n",
+        )
+        .unwrap();
+        assert_eq!(spec.bursts[0].rack, u32::MAX);
+        assert_eq!(spec.controller_crashes[0].at_us, 18_446_744_073_709_549_568);
+    }
+
+    #[test]
+    fn non_finite_factors_are_rejected() {
+        for src in [
+            "straggler_factor = NaN\n",
+            "straggler_factor = inf\n",
+            "partition_penalty = nan\n",
+            "partition_penalty = inf\n",
+            "[[degrade]]\nfactor = NaN\nfrom_s = 8\nuntil_s = 12\n",
+            "[[degrade]]\nfactor = inf\nfrom_s = 8\nuntil_s = 12\n",
+        ] {
+            let err = parse_spec(src).unwrap_err();
+            assert!(err.contains("finite"), "{src:?}: {err}");
+        }
     }
 
     #[test]
