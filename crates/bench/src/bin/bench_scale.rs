@@ -17,14 +17,13 @@
 //!   (checkpoint record, WAL append, group-commit row write, and pool
 //!   reconciliation all included);
 //! - the million-job tier (1M invocations on 10k nodes) sustains
-//!   ≥ 1M dispatched events/sec through the sharded event loop;
+//!   ≥ 1M dispatched events/sec through the event loop;
 //! - the same tier stays at ≤ 1 heap allocation per dispatched event.
 //!
 //! The million tier runs in `--quick` mode too — it IS the headline
-//! number — at the shard count given by `--shards` (default 1; traces
-//! and results are byte-identical at every value).
+//! number.
 //!
-//! Usage: `bench_scale [--quick] [--shards N] [--out PATH]`
+//! Usage: `bench_scale [--quick] [--out PATH]`
 
 use canary_baselines::IdealStrategy;
 use canary_cluster::{Cluster, FailureModel};
@@ -248,12 +247,6 @@ fn measure_engine(jobs: u32, nodes: u32) -> EnginePoint {
     }
 }
 
-/// The million-job tier's outcome, plus the shard count it ran at.
-struct MillionPoint {
-    point: EnginePoint,
-    shards: u32,
-}
-
 /// Million-job engine tier: `invocations` short web-service functions
 /// against `nodes` nodes, submitted in staggered waves so peak inflight
 /// stays a small fraction of the slot supply and the run measures
@@ -263,7 +256,7 @@ struct MillionPoint {
 /// checkpoint bookkeeping, which the smaller Canary tiers above cover.
 /// Events come from the run loop's own dispatch counter, so the
 /// allocs-per-event figure is exact, not a traced-replay estimate.
-fn measure_engine_million(invocations: u32, nodes: u32, shards: u32) -> MillionPoint {
+fn measure_engine_million(invocations: u32, nodes: u32) -> EnginePoint {
     const BATCHES: u32 = 1_000;
     // 240 ms between waves: the 1.2 s two-state workload over a 240 s
     // arrival window keeps peak inflight near 5k attempts (< 1% of the
@@ -289,7 +282,6 @@ fn measure_engine_million(invocations: u32, nodes: u32, shards: u32) -> MillionP
     let failure = FailureModel::with_error_rate(0.0);
     let mut cfg = RunConfig::new(Cluster::heterogeneous(nodes), failure, 42);
     cfg.admission_delay = SimDuration::ZERO;
-    cfg.shards = shards;
     let mut strategy = IdealStrategy::new();
     // Debug path: CANARY_MILLION_PROFILE=1 runs the tier under the
     // hot-path profiler, prints the per-handler dispatch/wall/alloc
@@ -327,18 +319,15 @@ fn measure_engine_million(invocations: u32, nodes: u32, shards: u32) -> MillionP
         "million tier did not complete"
     );
     let events = result.counters.events_dispatched;
-    MillionPoint {
-        point: EnginePoint {
-            jobs: invocations,
-            nodes,
-            wall_ms: wall * 1e3,
-            events,
-            events_per_sec: events as f64 / wall.max(1e-12),
-            jobs_per_sec: invocations as f64 / wall.max(1e-12),
-            allocs_per_event: run_allocs as f64 / events.max(1) as f64,
-            handlers: Vec::new(),
-        },
-        shards,
+    EnginePoint {
+        jobs: invocations,
+        nodes,
+        wall_ms: wall * 1e3,
+        events,
+        events_per_sec: events as f64 / wall.max(1e-12),
+        jobs_per_sec: invocations as f64 / wall.max(1e-12),
+        allocs_per_event: run_allocs as f64 / events.max(1) as f64,
+        handlers: Vec::new(),
     }
 }
 
@@ -377,15 +366,6 @@ fn main() {
         .position(|a| a == "--out")
         .and_then(|i| args.get(i + 1).cloned())
         .unwrap_or_else(|| "BENCH_scale.json".to_string());
-    // Shard count for the million-job tier (results are byte-identical at
-    // every value; only wall time can move).
-    let shards: u32 = args
-        .iter()
-        .position(|a| a == "--shards")
-        .and_then(|i| args.get(i + 1))
-        .map(|v| v.parse().expect("--shards takes a positive integer"))
-        .unwrap_or(1);
-    assert!(shards > 0, "--shards takes a positive integer");
 
     // Engine points stay at 10k jobs: the event loop itself scales
     // super-linearly in the closed-batch job count (a pre-existing
@@ -436,8 +416,8 @@ fn main() {
             Some((j.parse().ok()?, n.parse().ok()?))
         })
         .unwrap_or((1_000_000, 10_000));
-    eprintln!("million-job tier: {m_jobs} invocations on {m_nodes} nodes (shards={shards})...");
-    let million = measure_engine_million(m_jobs, m_nodes, shards);
+    eprintln!("million-job tier: {m_jobs} invocations on {m_nodes} nodes...");
+    let million = measure_engine_million(m_jobs, m_nodes);
 
     eprintln!("replicated-put allocation audit...");
     let (shared_put_allocs, string_put_allocs) = measure_replicated_put();
@@ -483,12 +463,11 @@ fn main() {
         json.push_str(if i + 1 < metas.len() { ",\n" } else { "\n" });
     }
     json.push_str("  ],\n");
-    let m = &million.point;
+    let m = &million;
     let _ = writeln!(
         json,
-        "  \"million\": {{\"jobs\": {}, \"nodes\": {}, \"shards\": {}, \"wall_ms\": {:.1}, \"events\": {}, \"events_per_sec\": {:.0}, \"jobs_per_sec\": {:.0}, \"allocs_per_event\": {:.2}}},",
-        m.jobs, m.nodes, million.shards, m.wall_ms, m.events, m.events_per_sec, m.jobs_per_sec,
-        m.allocs_per_event
+        "  \"million\": {{\"jobs\": {}, \"nodes\": {}, \"wall_ms\": {:.1}, \"events\": {}, \"events_per_sec\": {:.0}, \"jobs_per_sec\": {:.0}, \"allocs_per_event\": {:.2}}},",
+        m.jobs, m.nodes, m.wall_ms, m.events, m.events_per_sec, m.jobs_per_sec, m.allocs_per_event
     );
     let _ = writeln!(
         json,
@@ -541,8 +520,8 @@ fn main() {
     // CANARY_MILLION bisection run reports without asserting.
     if (m_jobs, m_nodes) == (1_000_000, 10_000) {
         // Contract 5: the million-job tier sustains a million events per
-        // second through the sharded loop...
-        let m = &million.point;
+        // second through the event loop...
+        let m = &million;
         assert!(
             m.events_per_sec >= 1e6,
             "million tier: {:.0} events/s (need ≥ 1M; {} events in {:.1} ms)",

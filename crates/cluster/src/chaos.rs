@@ -126,6 +126,17 @@ fn is_factor(f: f64) -> bool {
     f.is_finite() && f >= 1.0
 }
 
+/// The largest spec time in seconds whose microsecond value fits a `u64`.
+const MAX_SPEC_SECS: u64 = u64::MAX / 1_000_000;
+
+/// A spec time in seconds must convert to microseconds without overflow.
+fn check_secs(field: &str, s: u64) -> Result<(), String> {
+    if s > MAX_SPEC_SECS {
+        return Err(format!("{field} {s} exceeds {MAX_SPEC_SECS} s"));
+    }
+    Ok(())
+}
+
 impl ChaosSpec {
     /// True when the spec injects no faults at all.
     pub fn is_empty(&self) -> bool {
@@ -142,6 +153,8 @@ impl ChaosSpec {
     /// problem found.
     pub fn validate(&self) -> Result<(), String> {
         for p in &self.partitions {
+            check_secs("partition from_s", p.from_s)?;
+            check_secs("partition until_s", p.until_s)?;
             if p.until_s <= p.from_s {
                 return Err(format!(
                     "partition window [{}, {}) is empty",
@@ -153,7 +166,9 @@ impl ChaosSpec {
             }
         }
         for o in &self.store_outages {
+            check_secs("store outage from_s", o.from_s)?;
             if let Some(rejoin) = o.rejoin_s {
+                check_secs("store outage rejoin_s", rejoin)?;
                 if rejoin <= o.from_s {
                     return Err(format!(
                         "store outage rejoin {} is not after start {}",
@@ -163,6 +178,8 @@ impl ChaosSpec {
             }
         }
         for d in &self.degrades {
+            check_secs("degrade from_s", d.from_s)?;
+            check_secs("degrade until_s", d.until_s)?;
             if d.until_s <= d.from_s {
                 return Err(format!(
                     "degrade window [{}, {}) is empty",
@@ -177,6 +194,7 @@ impl ChaosSpec {
             }
         }
         for b in &self.bursts {
+            check_secs("burst at_s", b.at_s)?;
             if b.count == 0 {
                 return Err("burst with count 0 does nothing".to_string());
             }
@@ -600,6 +618,62 @@ mod tests {
         s.store_outages.clear();
         s.straggler_rate = 1.5;
         assert!(s.validate().is_err());
+
+        // Spec seconds up to MAX_SPEC_SECS validate and expand without
+        // overflowing microseconds; one more is rejected in every field.
+        let max = MAX_SPEC_SECS;
+        let edge = ChaosSpec {
+            partitions: vec![PartitionSpec {
+                a: 0,
+                b: 1,
+                from_s: 0,
+                until_s: max,
+            }],
+            degrades: vec![DegradeSpec {
+                factor: 2.0,
+                from_s: 0,
+                until_s: max,
+            }],
+            store_outages: vec![
+                StoreOutageSpec {
+                    member: 0,
+                    from_s: max,
+                    rejoin_s: None,
+                },
+                StoreOutageSpec {
+                    member: 1,
+                    from_s: 0,
+                    rejoin_s: Some(max),
+                },
+            ],
+            bursts: vec![BurstSpec {
+                at_s: max,
+                rack: 0,
+                count: 2,
+            }],
+            ..ChaosSpec::default()
+        };
+        edge.validate().expect("the bound is a valid spec time");
+        let plan = ChaosPlan::from_spec(&edge, &Cluster::heterogeneous(8), 1);
+        assert_eq!(plan.events().len(), 9);
+        let last = SimTime::from_micros(max * 1_000_000);
+        assert_eq!(plan.events().last().map(|e| e.0), Some(last));
+        const OVER: u64 = MAX_SPEC_SECS + 1;
+        let overflows: [fn(&mut ChaosSpec); 7] = [
+            |s| s.partitions[0].from_s = OVER,
+            |s| s.partitions[0].until_s = OVER,
+            |s| s.degrades[0].from_s = OVER,
+            |s| s.degrades[0].until_s = OVER,
+            |s| s.store_outages[0].from_s = OVER,
+            |s| s.store_outages[1].rejoin_s = Some(OVER),
+            |s| s.bursts[0].at_s = OVER,
+        ];
+        for overflow in overflows {
+            let mut bad = edge.clone();
+            overflow(&mut bad);
+            let err = bad.validate().unwrap_err();
+            assert!(err.contains("exceeds"), "{err}");
+        }
     }
 
     #[test]

@@ -23,4 +23,4 @@ pub use failure::{AttemptFailure, FailureInjector, FailureModel, NodeFailure};
 pub use network::NetworkModel;
 pub use node::{CpuClass, NodeId, NodeSpec, NodeState};
 pub use storage::{StorageHierarchy, StorageTier};
-pub use topology::{Cluster, ShardMap};
+pub use topology::Cluster;

@@ -105,56 +105,6 @@ impl Cluster {
     }
 }
 
-/// Rack-affine node→shard assignment for a sharded engine.
-///
-/// Whole racks map to one shard (`rack % shards`), so the events of
-/// co-located nodes — and the containers on them — stay on one shard's
-/// queue and registry slice. The mapping is a pure routing function: it
-/// decides *which* per-shard structure holds an event, never the order
-/// events execute in, so any shard count observes the same simulation.
-#[derive(Debug, Clone)]
-pub struct ShardMap {
-    shards: u32,
-    node_to_shard: Vec<u32>,
-}
-
-impl ShardMap {
-    /// Assign every node of `cluster` to one of `shards` shards by rack.
-    /// A shard count of 0 is clamped to 1 (the legacy single-shard path).
-    pub fn new(cluster: &Cluster, shards: u32) -> Self {
-        let shards = shards.max(1);
-        ShardMap {
-            shards,
-            node_to_shard: cluster.nodes().iter().map(|n| n.rack % shards).collect(),
-        }
-    }
-
-    /// Number of shards.
-    pub fn shards(&self) -> u32 {
-        self.shards
-    }
-
-    /// Shard owning `node`'s rack.
-    pub fn shard_of(&self, node: NodeId) -> usize {
-        self.node_to_shard[node.0 as usize] as usize
-    }
-
-    /// Shard for an entity without node affinity (jobs, functions before
-    /// placement): a stable spread of the id space across shards.
-    pub fn shard_of_key(&self, key: u64) -> usize {
-        (key % self.shards as u64) as usize
-    }
-
-    /// Node ids owned by `shard`, in id order.
-    pub fn nodes_in(&self, shard: usize) -> impl Iterator<Item = NodeId> + '_ {
-        self.node_to_shard
-            .iter()
-            .enumerate()
-            .filter(move |&(_, &s)| s as usize == shard)
-            .map(|(i, _)| NodeId(i as u32))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -206,41 +156,5 @@ mod tests {
     fn total_slots_sums() {
         let c = Cluster::homogeneous(4);
         assert_eq!(c.total_slots(), 4 * 70);
-    }
-
-    #[test]
-    fn shard_map_is_rack_affine() {
-        let c = Cluster::heterogeneous(16); // 4 racks of 4
-        let m = ShardMap::new(&c, 2);
-        assert_eq!(m.shards(), 2);
-        for n in c.ids() {
-            // Same rack ⇒ same shard.
-            assert_eq!(m.shard_of(n), (c.node(n).rack % 2) as usize);
-        }
-        // Every node lands in exactly one shard's slice.
-        let total: usize = (0..2).map(|s| m.nodes_in(s).count()).sum();
-        assert_eq!(total, 16);
-        assert_eq!(m.nodes_in(0).count(), 8);
-    }
-
-    #[test]
-    fn shard_map_handles_more_shards_than_racks() {
-        let c = Cluster::heterogeneous(8); // 2 racks
-        let m = ShardMap::new(&c, 16);
-        for n in c.ids() {
-            assert!(m.shard_of(n) < 16);
-        }
-        // Shards beyond the rack count simply own no nodes.
-        assert_eq!(m.nodes_in(5).count(), 0);
-        assert_eq!(m.shard_of_key(33), 33 % 16);
-    }
-
-    #[test]
-    fn shard_map_zero_clamps_to_single_shard() {
-        let c = Cluster::homogeneous(4);
-        let m = ShardMap::new(&c, 0);
-        assert_eq!(m.shards(), 1);
-        assert_eq!(m.shard_of(NodeId(3)), 0);
-        assert_eq!(m.shard_of_key(u64::MAX), 0);
     }
 }

@@ -75,17 +75,7 @@ struct Args {
     seed: u64,
     reps: u64,
     node_failures: f64,
-    shards: u32,
     obs: ObsOptions,
-}
-
-/// Default `--shards`: the host's available parallelism. Sharding is
-/// purely structural (results are byte-identical for every value), so
-/// the default just matches the queue layout to the machine.
-fn default_shards() -> u32 {
-    std::thread::available_parallelism()
-        .map(|n| n.get() as u32)
-        .unwrap_or(1)
 }
 
 impl Default for Args {
@@ -103,7 +93,6 @@ impl Default for Args {
             seed: 42,
             reps: 3,
             node_failures: 0.0,
-            shards: default_shards(),
             obs: ObsOptions::default(),
         }
     }
@@ -115,9 +104,6 @@ fn usage() -> ! {
          \x20                [--workload dl|web|spark|compress|bfs]\n\
          \x20                [--invocations N] [--rate F] [--nodes N] [--seed N]\n\
          \x20                [--reps N] [--node-failures F]\n\
-         \x20                [--shards N]  (event-loop shards; default = available\n\
-         \x20                 parallelism, 1 = legacy single queue; results are\n\
-         \x20                 byte-identical for every value)\n\
          \x20                [--trace-out PATH] [--telemetry-out PATH] [--timeline]\n\
          \x20                [--perfetto-out PATH] [--spans-out PATH] [--blame]\n\
          subcommands: chaos, load, trace, wal (see canaryctl <cmd> --help)"
@@ -186,7 +172,6 @@ fn parse_args() -> Args {
             "--node-failures" => {
                 args.node_failures = value("--node-failures").parse().unwrap_or_else(|_| usage())
             }
-            "--shards" => args.shards = value("--shards").parse().unwrap_or_else(|_| usage()),
             "--help" | "-h" => usage(),
             other => {
                 eprintln!("unknown flag: {other}");
@@ -197,11 +182,7 @@ fn parse_args() -> Args {
     if !explicit_strategies.is_empty() {
         args.strategies = explicit_strategies;
     }
-    if !(0.0..=1.0).contains(&args.rate)
-        || args.invocations == 0
-        || args.nodes == 0
-        || args.shards == 0
-    {
+    if !(0.0..=1.0).contains(&args.rate) || args.invocations == 0 || args.nodes == 0 {
         usage()
     }
     args
@@ -211,7 +192,7 @@ fn chaos_usage() -> ! {
     eprintln!(
         "usage: canaryctl chaos [--scenario NAME | --spec PATH] [--seed N]\n\
          \x20                      [--strategy canary|canary-ar|canary-lr|canary-migrate|retry|rr|as]\n\
-         \x20                      [--shards N] [--list] [--wal-out PATH]\n\
+         \x20                      [--list] [--wal-out PATH]\n\
          \x20                      [--trace-out PATH] [--telemetry-out PATH] [--timeline]\n\
          scenarios: {}",
         chaos::SCENARIOS.join(", ")
@@ -229,7 +210,6 @@ fn chaos_main(raw: Vec<String>) {
     let mut seed: u64 = 42;
     let mut strategy = StrategyKind::Canary(ReplicationStrategyKind::Dynamic);
     let mut wal_out: Option<String> = None;
-    let mut shards: u32 = 1;
     let mut it = rest.into_iter();
     while let Some(flag) = it.next() {
         let mut value = |name: &str| -> String {
@@ -243,12 +223,6 @@ fn chaos_main(raw: Vec<String>) {
             "--spec" => spec_path = Some(value("--spec")),
             "--seed" => seed = value("--seed").parse().unwrap_or_else(|_| chaos_usage()),
             "--strategy" => strategy = parse_strategy(&value("--strategy")),
-            "--shards" => {
-                shards = value("--shards").parse().unwrap_or_else(|_| chaos_usage());
-                if shards == 0 {
-                    chaos_usage()
-                }
-            }
             "--wal-out" => wal_out = Some(value("--wal-out")),
             "--list" => {
                 for name in chaos::SCENARIOS {
@@ -279,8 +253,7 @@ fn chaos_main(raw: Vec<String>) {
             chaos_usage()
         }),
     };
-    let mut scenario = chaos::demo_scenario(spec);
-    scenario.shards = shards;
+    let scenario = chaos::demo_scenario(spec);
     let expected: u32 = scenario.jobs.iter().map(|j| j.invocations).sum();
     let result = match &wal_out {
         Some(path) => {
@@ -696,17 +669,15 @@ fn main() {
     );
     scenario.nodes = args.nodes;
     scenario.node_failure_rate = args.node_failures;
-    scenario.shards = args.shards;
 
     println!(
-        "workload={} invocations={} rate={:.0}% nodes={} reps={} seed={} shards={}\n",
+        "workload={} invocations={} rate={:.0}% nodes={} reps={} seed={}\n",
         args.workload,
         args.invocations,
         args.rate * 100.0,
         args.nodes,
         args.reps,
         args.seed,
-        args.shards
     );
     println!(
         "{:<12} {:>13} {:>15} {:>12} {:>11} {:>9}",

@@ -528,6 +528,10 @@ mod tests {
         // Self-loop partition passes parsing but fails validation.
         let err = parse_spec("[[partition]]\na = 1\nb = 1\nfrom_s = 0\nuntil_s = 5\n").unwrap_err();
         assert!(err.contains("self-loop"), "{err}");
+        // A burst time whose microseconds overflow a u64.
+        let err =
+            parse_spec("[[burst]]\nat_s = 18446744073710\nrack = 0\ncount = 2\n").unwrap_err();
+        assert!(err.contains("exceeds"), "{err}");
     }
 
     #[test]

@@ -95,9 +95,6 @@ pub struct Scenario {
     /// Admission-gate cap on concurrently inflight function invocations
     /// (`None` = closed-batch behavior: everything admitted at arrival).
     pub max_inflight: Option<u32>,
-    /// Event-loop shards (1 = legacy single queue). Purely structural:
-    /// results and traces are byte-identical for every value.
-    pub shards: u32,
     /// The submitted jobs.
     pub jobs: Vec<JobSpec>,
 }
@@ -116,7 +113,6 @@ impl Scenario {
             profile: false,
             chaos: ChaosSpec::default(),
             max_inflight: None,
-            shards: 1,
             jobs,
         }
     }
@@ -136,7 +132,6 @@ impl Scenario {
         cfg.causal = self.causal;
         cfg.profile = self.profile;
         cfg.max_inflight = self.max_inflight;
-        cfg.shards = self.shards;
         if strategy != StrategyKind::Ideal {
             cfg.chaos = self.chaos.clone();
         }

@@ -276,41 +276,6 @@ pub fn hot_path_report(profile: &HotPathProfile) -> String {
             profile.total_allocs() as f64 / total_n,
         );
     }
-    // Per-shard tiles (sharded runs only; tiles sum to the totals above).
-    if profile.per_shard.len() > 1 {
-        for tile in &profile.per_shard {
-            let dispatches: u64 = tile.rows.iter().map(|r| r.dispatches).sum();
-            if dispatches == 0 {
-                let _ = writeln!(out, "  shard {:<3} (idle)", tile.shard);
-                continue;
-            }
-            let wall_ns: u64 = tile.rows.iter().map(|r| r.wall_ns).sum();
-            let allocs: u64 = tile.rows.iter().map(|r| r.allocs).sum();
-            let _ = writeln!(
-                out,
-                "  shard {:<8} {:>10} {:>12} {:>10.0} {:>10} {:>11.2}",
-                tile.shard,
-                dispatches,
-                format!("{:.3}ms", wall_ns as f64 / 1e6),
-                wall_ns as f64 / dispatches as f64,
-                allocs,
-                allocs as f64 / dispatches as f64,
-            );
-            for r in tile.rows.iter().filter(|r| r.dispatches > 0) {
-                let n = r.dispatches as f64;
-                let _ = writeln!(
-                    out,
-                    "    {:<12} {:>10} {:>12} {:>10.0} {:>10} {:>11.2}",
-                    r.event,
-                    r.dispatches,
-                    format!("{:.3}ms", r.wall_ns as f64 / 1e6),
-                    r.wall_ns as f64 / n,
-                    r.allocs,
-                    r.allocs as f64 / n,
-                );
-            }
-        }
-    }
     out
 }
 

@@ -60,14 +60,6 @@ pub struct RunConfig {
     /// time), and allocation counts when an allocator hook is installed
     /// (off by default). Purely observational.
     pub profile: bool,
-    /// Event-loop shards: the future-event list is split into this many
-    /// rack-affine per-shard queues joined by a deterministic
-    /// `(time, global seq)` merge. Purely structural — every shard count
-    /// pops the identical event stream, so traces and outcomes are
-    /// byte-for-byte independent of it (the goldens are never re-blessed
-    /// for a shard-count change). `1` (the default) is the legacy
-    /// single-queue layout; 0 is clamped to 1.
-    pub shards: u32,
 }
 
 impl RunConfig {
@@ -90,7 +82,6 @@ impl RunConfig {
             telemetry: false,
             causal: false,
             profile: false,
-            shards: 1,
         }
     }
 

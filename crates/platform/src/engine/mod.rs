@@ -50,12 +50,12 @@ use crate::profile::{HotPathProfile, HotPathRow};
 use crate::strategy::FtStrategy;
 use crate::telemetry::{Phase, Telemetry};
 use crate::trace::{SpanId, Trace, TraceEvent, TraceKind};
-use canary_cluster::{ChaosPlan, FailureInjector, NodeId, ShardMap};
+use canary_cluster::{ChaosPlan, FailureInjector, NodeId};
 use canary_container::{
     ColdStartModel, ContainerId, ContainerPurpose, ContainerRegistry, ContainerState,
     PlacementError,
 };
-use canary_sim::{ShardedEventQueue, SimRng, SimTime};
+use canary_sim::{EventQueue, SimRng, SimTime};
 use canary_workloads::RuntimeKind;
 use handlers::CloneOutcome;
 use pool::{EventHandle, EventPool, VecPool};
@@ -65,15 +65,11 @@ use std::collections::HashMap;
 /// callbacks and may inspect state or create replica containers.
 pub struct Platform {
     config: RunConfig,
-    /// The future-event list, split into rack-affine shards and merged
-    /// back by `(time, global seq)` — the merge order is identical for
-    /// every shard count, so sharding is invisible to every trace byte.
-    /// Entries are generation-checked handles into `pool`, not events.
-    queue: ShardedEventQueue<EventHandle>,
+    /// The future-event list, popped by `(time, push order)`. Entries
+    /// are generation-checked handles into `pool`, not events.
+    queue: EventQueue<EventHandle>,
     /// Slab storage for queued events (zero allocations at steady state).
     pool: EventPool,
-    /// Rack→shard routing for node-affine events; id-spread for the rest.
-    shard_map: ShardMap,
     registry: ContainerRegistry,
     coldstart: ColdStartModel,
     injector: FailureInjector,
@@ -139,8 +135,6 @@ impl Platform {
         let injector = FailureInjector::new(config.failure, config.seed);
         let chaos = ChaosPlan::from_spec(&config.chaos, &config.cluster, config.seed);
         let strategy_rng = SimRng::seed_from_u64(config.seed).split(0x57_A7);
-        let shards = config.shards.max(1);
-        let shard_map = ShardMap::new(&config.cluster, shards);
         Ok(Platform {
             registry,
             coldstart: ColdStartModel::new(),
@@ -159,7 +153,7 @@ impl Platform {
             trace: Trace::default(),
             telemetry: Telemetry::new(config.telemetry),
             causal: causal::CausalState::default(),
-            profiler: ProfileAccum::new(shards as usize),
+            profiler: ProfileAccum::default(),
             clone_plans: HashMap::new(),
             active_by_runtime: HashMap::new(),
             clone_buf_pool: VecPool::default(),
@@ -168,47 +162,16 @@ impl Platform {
             container_buf_pool: VecPool::default(),
             placed_scratch: Vec::new(),
             durable_scratch: Vec::new(),
-            queue: ShardedEventQueue::new(shards as usize),
+            queue: EventQueue::new(),
             pool: EventPool::default(),
-            shard_map,
             config,
         })
     }
 
-    /// Route `event` to its rack-affine shard and schedule it at `time`.
-    /// Routing is pure placement of the event *storage* — the sharded
-    /// queue's global-sequence merge guarantees the pop order is the same
-    /// whichever shard an event lands on.
+    /// Schedule `event` at `time`.
     pub(super) fn schedule(&mut self, time: SimTime, event: Event) {
-        let shard = self.shard_of_event(&event);
         let handle = self.pool.alloc(event);
-        self.queue.push(shard, time, handle);
-    }
-
-    /// The shard an event belongs to: node-affine events follow their
-    /// node's rack; job/function events spread by id; chaos faults (rare,
-    /// cluster-global) anchor on shard 0.
-    fn shard_of_event(&self, event: &Event) -> usize {
-        match *event {
-            Event::JobArrival { job } | Event::SubmitJob { job } => {
-                self.shard_map.shard_of_key(job.0 as u64)
-            }
-            Event::Launch { fn_id, .. } => self.shard_map.shard_of_key(fn_id.0),
-            Event::AttemptEnd { fn_id, .. } => self.fns[fn_id.0 as usize]
-                .plan
-                .as_ref()
-                .map(|p| self.shard_map.shard_of(p.node))
-                .unwrap_or_else(|| self.shard_map.shard_of_key(fn_id.0)),
-            Event::WarmResume { container, .. } | Event::ReplicaWarm { container } => self
-                .registry
-                .get(container)
-                .map(|c| self.shard_map.shard_of(c.node))
-                .unwrap_or(0),
-            Event::NodeFailure { node } => self.shard_map.shard_of(node),
-            // Controller-global events (rare / singleton) anchor on shard
-            // 0; the global-seq merge keeps their order shard-invariant.
-            Event::ChaosFault { .. } | Event::AdmissionFree => 0,
-        }
+        self.queue.push(time, handle);
     }
 
     // ------------------------------------------------------------------
@@ -408,83 +371,36 @@ impl Platform {
     }
 }
 
-/// Per-shard, per-event-kind hot-path accumulators
-/// ([`RunConfig::profile`]).
-///
-/// Attribution is recorded against the shard that dequeued the event, so
-/// under a sharded loop the report still *tiles*: each kind's totals are
-/// exactly the sum of that kind's per-shard rows (wall time and — with a
-/// counting-allocator hook installed — allocations included).
+/// Per-event-kind hot-path accumulators ([`RunConfig::profile`]),
+/// indexed by [`Event::kind_index`].
 #[derive(Debug, Default)]
 struct ProfileAccum {
-    /// `[shard][kind]` accumulators, flattened.
-    dispatches: Vec<u64>,
-    wall_ns: Vec<u64>,
-    allocs: Vec<u64>,
-    shards: usize,
+    dispatches: [u64; events::EVENT_KINDS],
+    wall_ns: [u64; events::EVENT_KINDS],
+    allocs: [u64; events::EVENT_KINDS],
 }
 
 impl ProfileAccum {
-    fn new(shards: usize) -> Self {
-        let n = shards.max(1) * events::EVENT_KINDS;
-        ProfileAccum {
-            dispatches: vec![0; n],
-            wall_ns: vec![0; n],
-            allocs: vec![0; n],
-            shards: shards.max(1),
-        }
-    }
-
-    fn record(&mut self, shard: usize, kind: usize, wall_ns: u64, allocs: u64) {
-        let i = shard * events::EVENT_KINDS + kind;
-        self.dispatches[i] += 1;
-        self.wall_ns[i] += wall_ns;
-        self.allocs[i] += allocs;
+    fn record(&mut self, kind: usize, wall_ns: u64, allocs: u64) {
+        self.dispatches[kind] += 1;
+        self.wall_ns[kind] += wall_ns;
+        self.allocs[kind] += allocs;
     }
 
     fn snapshot(&self) -> HotPathProfile {
-        let row = |shard: usize, kind: usize, label: &str| {
-            let i = shard * events::EVENT_KINDS + kind;
-            HotPathRow {
-                event: label.to_string(),
-                dispatches: self.dispatches[i],
-                wall_ns: self.wall_ns[i],
-                allocs: self.allocs[i],
-            }
-        };
-        // Totals first (the stable pre-sharding schema), then the
-        // per-shard tiles that sum to them.
         let rows = events::EVENT_KIND_LABELS
             .iter()
             .enumerate()
-            .map(|(kind, &label)| {
-                let mut total = HotPathRow {
-                    event: label.to_string(),
-                    ..HotPathRow::default()
-                };
-                for shard in 0..self.shards {
-                    let r = row(shard, kind, label);
-                    total.dispatches += r.dispatches;
-                    total.wall_ns += r.wall_ns;
-                    total.allocs += r.allocs;
-                }
-                total
-            })
-            .collect();
-        let per_shard = (0..self.shards)
-            .map(|shard| crate::profile::HotPathShard {
-                shard: shard as u32,
-                rows: events::EVENT_KIND_LABELS
-                    .iter()
-                    .enumerate()
-                    .map(|(kind, &label)| row(shard, kind, label))
-                    .collect(),
+            .map(|(kind, &label)| HotPathRow {
+                event: label.to_string(),
+                dispatches: self.dispatches[kind],
+                wall_ns: self.wall_ns[kind],
+                allocs: self.allocs[kind],
             })
             .collect();
         HotPathProfile {
             enabled: true,
             rows,
-            per_shard,
         }
     }
 }
@@ -512,38 +428,29 @@ pub fn try_run(
     setup::schedule_node_failures(&mut p);
     setup::schedule_chaos(&mut p);
 
-    // Main loop: drain same-timestamp event groups as batches (one queue
-    // scan per group instead of per event) and dispatch each batch entry
-    // in the global `(time, seq)` order the drain preserves. Events a
-    // handler schedules at the drained timestamp land in the next batch —
-    // exactly where one-at-a-time popping would put them. The profiled
-    // variant times every dispatch with host wall-clock (simulated time
-    // never advances inside a handler, so the whole measurement is
-    // sim-time-free), attributes allocations when a counting-allocator
-    // hook is installed, and bills both to the shard that dequeued the
-    // event.
-    let mut batch: Vec<(usize, EventHandle)> = Vec::new();
+    // Main loop: pop one event at a time in `(time, push order)`. An
+    // event a handler schedules at the current instant sorts after every
+    // event already pending there. The profiled variant times every
+    // dispatch with host wall-clock (simulated time never advances inside
+    // a handler, so the whole measurement is sim-time-free) and
+    // attributes allocations when a counting-allocator hook is installed.
     if p.config.profile {
-        while p.queue.pop_batch(&mut batch).is_some() {
-            for &(shard, handle) in &batch {
-                let ev = p.pool.take(handle);
-                let kind = ev.kind_index();
-                let allocs_before = crate::profile::alloc_count();
-                let started = std::time::Instant::now();
-                p.dispatch(strategy, ev);
-                let wall_ns = started.elapsed().as_nanos() as u64;
-                let allocs = crate::profile::alloc_count().saturating_sub(allocs_before);
-                p.profiler.record(shard, kind, wall_ns, allocs);
-                p.counters.events_dispatched += 1;
-            }
+        while let Some((_, handle)) = p.queue.pop() {
+            let ev = p.pool.take(handle);
+            let kind = ev.kind_index();
+            let allocs_before = crate::profile::alloc_count();
+            let started = std::time::Instant::now();
+            p.dispatch(strategy, ev);
+            let wall_ns = started.elapsed().as_nanos() as u64;
+            let allocs = crate::profile::alloc_count().saturating_sub(allocs_before);
+            p.profiler.record(kind, wall_ns, allocs);
+            p.counters.events_dispatched += 1;
         }
     } else {
-        while p.queue.pop_batch(&mut batch).is_some() {
-            for &(_, handle) in &batch {
-                let ev = p.pool.take(handle);
-                p.dispatch(strategy, ev);
-                p.counters.events_dispatched += 1;
-            }
+        while let Some((_, handle)) = p.queue.pop() {
+            let ev = p.pool.take(handle);
+            p.dispatch(strategy, ev);
+            p.counters.events_dispatched += 1;
         }
     }
     debug_assert_eq!(p.pool.len(), 0, "event pool leaked entries at run end");

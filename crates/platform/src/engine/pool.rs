@@ -2,7 +2,7 @@
 //!
 //! The event loop allocates nothing per event at steady state: queued
 //! [`super::Event`]s live in a slab ([`EventPool`]) and travel through
-//! the sharded queue as copyable [`EventHandle`]s; attempt-planning
+//! the event queue as copyable [`EventHandle`]s; attempt-planning
 //! buffers (clone outcomes, state timings, planned-attempt vectors) are
 //! recycled through free lists instead of being dropped. Handles carry a
 //! generation stamp so a stale handle — one whose slot was already taken

@@ -123,23 +123,6 @@ impl Platform {
         self.inflight
     }
 
-    /// Event-loop shards in this run (≥ 1; 1 is the legacy single-queue
-    /// layout). Purely structural — no simulation outcome depends on it.
-    pub fn shard_count(&self) -> usize {
-        self.queue.num_shards()
-    }
-
-    /// The shard owning `node`'s rack: its events queue on that shard,
-    /// and its containers belong to that shard's registry slice.
-    pub fn shard_of_node(&self, node: NodeId) -> usize {
-        self.shard_map.shard_of(node)
-    }
-
-    /// Node ids in `shard`'s registry slice, in id order.
-    pub fn nodes_in_shard(&self, shard: usize) -> impl Iterator<Item = NodeId> + '_ {
-        self.shard_map.nodes_in(shard)
-    }
-
     /// Run counters so far.
     pub fn counters(&self) -> &RunCounters {
         &self.counters

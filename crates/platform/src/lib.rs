@@ -36,7 +36,7 @@ pub use engine::{run, try_run, validate_batch, Event, Platform, RunConfigError, 
 pub use ids::{FnId, JobId};
 pub use intern::{Symbol, SymbolTable};
 pub use job::{FnRecord, FnStatus, JobRecord, JobSpec, PlannedAttempt};
-pub use profile::{install_alloc_counter, HotPathProfile, HotPathRow, HotPathShard};
+pub use profile::{install_alloc_counter, HotPathProfile, HotPathRow};
 pub use strategy::{
     ArrivalVerdict, FailureInfo, FailureKind, FtStrategy, RecoveryPlan, RecoveryTarget,
 };

@@ -5,9 +5,9 @@
 //! every event dispatch with a wall-clock timer (host time — simulated
 //! time never advances inside a handler) and an allocation counter, and
 //! the run result carries a [`HotPathProfile`] with one row per
-//! [`crate::Event`] kind. The report directly scopes sharding work: the
-//! kinds with the highest cumulative cost are the ones a sharded engine
-//! must partition well.
+//! [`crate::Event`] kind. The rows tile the loop: each dispatch is
+//! billed to exactly one kind, so the per-kind dispatch counts sum to
+//! [`crate::RunCounters::events_dispatched`].
 //!
 //! Allocation attribution needs a counting global allocator, which a
 //! library cannot install. Binaries that have one (the bench harnesses)
@@ -45,18 +45,6 @@ pub struct HotPathRow {
     pub allocs: u64,
 }
 
-/// One event-loop shard's slice of the hot path: the same per-kind rows
-/// as the run totals, restricted to events dispatched on that shard.
-/// Shard tiles sum exactly to the totals — attribution is per dispatch,
-/// and every dispatch belongs to exactly one shard.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
-pub struct HotPathShard {
-    /// Shard index (0-based, `< RunConfig::shards`).
-    pub shard: u32,
-    /// Per-kind rows for this shard, in dispatch-table order.
-    pub rows: Vec<HotPathRow>,
-}
-
 /// The run's hot-path report: per-event-kind dispatch counts, handler
 /// cost, and allocation attribution.
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
@@ -66,10 +54,6 @@ pub struct HotPathProfile {
     /// One row per event kind, in dispatch-table order. Kinds that never
     /// fired keep all-zero rows so the schema is stable.
     pub rows: Vec<HotPathRow>,
-    /// Per-shard tiles of the same rows (empty in pre-shard reports).
-    /// Invariant: summing a kind across tiles equals its totals row.
-    #[serde(default)]
-    pub per_shard: Vec<HotPathShard>,
 }
 
 impl HotPathProfile {
@@ -111,7 +95,6 @@ mod tests {
                     allocs: 0,
                 },
             ],
-            per_shard: Vec::new(),
         };
         assert_eq!(p.total_dispatches(), 5);
         assert_eq!(p.total_wall_ns(), 15);

@@ -2,9 +2,8 @@
 //!
 //! Discrete-event simulation (DES) infrastructure for the Canary
 //! reproduction: a virtual clock ([`SimTime`]/[`SimDuration`]), a
-//! deterministic future-event list ([`EventQueue`], and its sharded
-//! sibling [`ShardedEventQueue`] whose `(time, global seq)` merge pops
-//! identically at any shard count), a splittable
+//! deterministic future-event list ([`EventQueue`], which pops by time
+//! and breaks ties by push order), a splittable
 //! deterministic PRNG ([`SimRng`]), open-loop arrival processes for
 //! sustained-load traffic ([`ArrivalProcess`]), and the statistics types
 //! used to aggregate experiment results ([`Welford`], [`Percentiles`],
@@ -40,7 +39,7 @@ pub mod stats;
 pub mod time;
 
 pub use arrival::ArrivalProcess;
-pub use queue::{EventQueue, ShardedEventQueue};
+pub use queue::EventQueue;
 pub use rng::SimRng;
 pub use series::{Point, Series, SeriesSet};
 pub use stats::{Histogram, Percentiles, Welford};

@@ -116,157 +116,6 @@ impl<E> EventQueue<E> {
     }
 }
 
-/// A sharded future-event list: N independent per-shard heaps joined by a
-/// deterministic timestamp-ordered merge.
-///
-/// The sequence counter is *global* — one monotone stream shared by every
-/// shard — and pops are ordered by `(time, seq, shard)`. Because `seq` is
-/// unique across the whole queue, the merge order is a total order that
-/// does not depend on the shard count or on how events were routed to
-/// shards: a `ShardedEventQueue` with any number of shards pops the exact
-/// same `(time, event)` stream as a single [`EventQueue`] fed the same
-/// pushes in the same order. (The shard index is a formal tertiary
-/// tie-break that keeps the k-way merge stable; the global `seq` means it
-/// can never actually decide.) That invariance is what lets an engine
-/// shard its event loop without perturbing a single golden trace.
-pub struct ShardedEventQueue<E> {
-    shards: Vec<BinaryHeap<Entry<E>>>,
-    /// Global sequencer shared by all shards (the invariance linchpin).
-    seq: u64,
-    last_popped: SimTime,
-    len: usize,
-    /// Reusable merge buffer for [`Self::pop_batch`] (seq, shard, event);
-    /// keeps batch draining allocation-free after warm-up.
-    scratch: Vec<(u64, usize, E)>,
-}
-
-impl<E> ShardedEventQueue<E> {
-    /// Create a queue with `shards` independent heaps (at least 1).
-    pub fn new(shards: usize) -> Self {
-        let shards = shards.max(1);
-        ShardedEventQueue {
-            shards: (0..shards).map(|_| BinaryHeap::new()).collect(),
-            seq: 0,
-            last_popped: SimTime::ZERO,
-            len: 0,
-            scratch: Vec::new(),
-        }
-    }
-
-    /// Number of shards.
-    pub fn num_shards(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// Schedule `event` at absolute time `time` on `shard`. Same
-    /// past-scheduling contract as [`EventQueue::push`]: debug-asserted,
-    /// clamped to the current time in release builds.
-    pub fn push(&mut self, shard: usize, time: SimTime, event: E) {
-        debug_assert!(
-            time >= self.last_popped,
-            "event scheduled at {time} before current time {}",
-            self.last_popped
-        );
-        let time = time.max(self.last_popped);
-        self.shards[shard].push(Entry {
-            time,
-            seq: self.seq,
-            event,
-        });
-        self.seq += 1;
-        self.len += 1;
-    }
-
-    /// Shard index holding the globally earliest `(time, seq)` entry.
-    fn min_shard(&self) -> Option<usize> {
-        let mut best: Option<(SimTime, u64, usize)> = None;
-        for (i, heap) in self.shards.iter().enumerate() {
-            if let Some(top) = heap.peek() {
-                let key = (top.time, top.seq, i);
-                if best.is_none_or(|b| key < b) {
-                    best = Some(key);
-                }
-            }
-        }
-        best.map(|(_, _, i)| i)
-    }
-
-    /// Remove and return the globally earliest event with its timestamp
-    /// and the shard it was routed to.
-    pub fn pop(&mut self) -> Option<(SimTime, usize, E)> {
-        let shard = self.min_shard()?;
-        let entry = self.shards[shard].pop().expect("peeked shard non-empty");
-        self.last_popped = entry.time;
-        self.len -= 1;
-        Some((entry.time, shard, entry.event))
-    }
-
-    /// Drain *every* event carrying the earliest pending timestamp into
-    /// `out` as `(shard, event)` pairs, in exact global `(time, seq)`
-    /// order, and return that timestamp. The batch is the same-timestamp
-    /// event group: handlers can dispatch it as one unit, and events a
-    /// handler schedules *at* the drained timestamp land in the next
-    /// batch — exactly where one-at-a-time popping would have put them
-    /// (their seq is larger than everything drained here).
-    ///
-    /// `out` is cleared first so callers can reuse one buffer run-long.
-    pub fn pop_batch(&mut self, out: &mut Vec<(usize, E)>) -> Option<SimTime> {
-        out.clear();
-        let first = self.min_shard()?;
-        let t = self.shards[first].peek().expect("non-empty").time;
-        self.last_popped = t;
-        // Collect each shard's run of time-`t` entries tagged with seq,
-        // then restore the global order with one sort. Batches are small
-        // (events sharing a microsecond), so the sort is cheap; the
-        // buffer is reused, so draining is allocation-free at steady
-        // state.
-        self.scratch.clear();
-        for (i, heap) in self.shards.iter_mut().enumerate() {
-            while heap.peek().is_some_and(|e| e.time == t) {
-                let e = heap.pop().expect("peeked entry");
-                self.scratch.push((e.seq, i, e.event));
-                self.len -= 1;
-            }
-        }
-        self.scratch
-            .sort_unstable_by_key(|&(seq, shard, _)| (seq, shard));
-        out.extend(self.scratch.drain(..).map(|(_, shard, ev)| (shard, ev)));
-        Some(t)
-    }
-
-    /// Timestamp of the next event without removing it.
-    pub fn peek_time(&self) -> Option<SimTime> {
-        self.shards
-            .iter()
-            .filter_map(|h| h.peek().map(|e| e.time))
-            .min()
-    }
-
-    /// Number of pending events across all shards.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// True when no events are pending on any shard.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// The timestamp of the most recently popped event (the current
-    /// simulation clock reading).
-    pub fn now(&self) -> SimTime {
-        self.last_popped
-    }
-
-    /// Drop all pending events, keeping the clock where it is.
-    pub fn clear(&mut self) {
-        for heap in &mut self.shards {
-            heap.clear();
-        }
-        self.len = 0;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -291,9 +140,15 @@ mod tests {
         for i in 0..100 {
             q.push(t, i);
         }
-        for i in 0..100 {
-            assert_eq!(q.pop().unwrap().1, i);
+        q.push(SimTime::from_micros(6), 200);
+        assert_eq!(q.pop(), Some((t, 0)));
+        // An event scheduled at the current instant after a pop sorts
+        // after every event already pending there, and before later ones.
+        q.push(q.now(), 100);
+        for i in 1..=100 {
+            assert_eq!(q.pop(), Some((t, i)));
         }
+        assert_eq!(q.pop().unwrap().1, 200);
     }
 
     #[test]
@@ -326,113 +181,5 @@ mod tests {
         assert_eq!(q.len(), 1);
         q.clear();
         assert!(q.is_empty());
-    }
-
-    /// A deterministic pseudo-random stream without pulling in the RNG
-    /// (xorshift64*), for the shard-invariance tests below.
-    fn xs(mut s: u64) -> impl FnMut() -> u64 {
-        move || {
-            s ^= s << 13;
-            s ^= s >> 7;
-            s ^= s << 17;
-            s
-        }
-    }
-
-    #[test]
-    fn sharded_pop_order_is_shard_count_invariant() {
-        // The same push stream routed to 1, 2, 4, 16 shards (routing by a
-        // hash of the payload) must pop identically to a single
-        // EventQueue: order is (time, global seq), which no shard count
-        // can perturb.
-        for &shards in &[1usize, 2, 4, 16] {
-            let mut rnd = xs(42);
-            let mut reference = EventQueue::new();
-            let mut sharded = ShardedEventQueue::new(shards);
-            for i in 0..500u64 {
-                let t = SimTime::from_micros(rnd() % 64);
-                reference.push(t, i);
-                sharded.push((i as usize * 7) % shards, t, i);
-            }
-            loop {
-                match (reference.pop(), sharded.pop()) {
-                    (None, None) => break,
-                    (Some((rt, rv)), Some((st, _, sv))) => {
-                        assert_eq!((rt, rv), (st, sv), "shards={shards}");
-                    }
-                    (r, s) => panic!("length mismatch: {r:?} vs {s:?}"),
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn sharded_batch_drain_matches_pop_stream() {
-        for &shards in &[1usize, 3, 8] {
-            let mut rnd = xs(7);
-            let mut a = ShardedEventQueue::new(shards);
-            let mut b = ShardedEventQueue::new(shards);
-            for i in 0..300u64 {
-                let t = SimTime::from_micros(rnd() % 16); // dense ties
-                a.push(i as usize % shards, t, i);
-                b.push(i as usize % shards, t, i);
-            }
-            let mut batch = Vec::new();
-            let mut drained: Vec<(SimTime, u64)> = Vec::new();
-            while let Some(t) = a.pop_batch(&mut batch) {
-                for &(_, v) in &batch {
-                    drained.push((t, v));
-                }
-            }
-            let mut popped = Vec::new();
-            while let Some((t, _, v)) = b.pop() {
-                popped.push((t, v));
-            }
-            assert_eq!(drained, popped, "shards={shards}");
-            assert!(a.is_empty());
-        }
-    }
-
-    #[test]
-    fn sharded_batch_groups_exactly_one_timestamp() {
-        let mut q = ShardedEventQueue::new(4);
-        let t1 = SimTime::from_micros(10);
-        let t2 = SimTime::from_micros(20);
-        for i in 0..8usize {
-            q.push(i % 4, if i < 5 { t1 } else { t2 }, i);
-        }
-        let mut batch = Vec::new();
-        assert_eq!(q.pop_batch(&mut batch), Some(t1));
-        assert_eq!(batch.len(), 5);
-        assert_eq!(q.now(), t1);
-        // Same-timestamp pushes made *after* a drain land in a fresh
-        // batch, after everything already drained — matching one-at-a-
-        // time pop order.
-        q.push(0, t1, 99);
-        assert_eq!(q.pop_batch(&mut batch), Some(t1));
-        assert_eq!(batch.iter().map(|&(_, v)| v).collect::<Vec<_>>(), [99]);
-        assert_eq!(q.pop_batch(&mut batch), Some(t2));
-        assert_eq!(batch.len(), 3);
-        assert_eq!(q.pop_batch(&mut batch), None);
-        assert!(batch.is_empty());
-    }
-
-    #[test]
-    fn sharded_len_and_clear() {
-        let mut q: ShardedEventQueue<u32> = ShardedEventQueue::new(2);
-        assert!(q.is_empty());
-        q.push(0, SimTime::from_micros(1), 1);
-        q.push(1, SimTime::from_micros(2), 2);
-        assert_eq!(q.len(), 2);
-        assert_eq!(q.num_shards(), 2);
-        q.clear();
-        assert!(q.is_empty());
-        assert_eq!(q.peek_time(), None);
-    }
-
-    #[test]
-    fn sharded_zero_shards_clamps_to_one() {
-        let q: ShardedEventQueue<()> = ShardedEventQueue::new(0);
-        assert_eq!(q.num_shards(), 1);
     }
 }

@@ -134,6 +134,11 @@ proptest! {
             format!("{:?}", plain.counters),
             format!("{:?}", instrumented.counters)
         );
+        // The profiler bills every dispatch to exactly one event kind.
+        prop_assert_eq!(
+            instrumented.profile.total_dispatches(),
+            instrumented.counters.events_dispatched
+        );
     }
 }
 

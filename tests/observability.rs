@@ -157,6 +157,11 @@ fn canaryctl_exports_trace_timeline_and_telemetry() {
         String::from_utf8_lossy(&out.stderr)
     );
     let stdout = String::from_utf8_lossy(&out.stdout);
+    // The run header echoes the flags and nothing host-dependent.
+    assert_eq!(
+        stdout.lines().next(),
+        Some("workload=DL invocations=30 rate=15% nodes=8 reps=1 seed=42")
+    );
 
     // (a) the JSONL trace parses and contains the recovery events.
     let raw = std::fs::read_to_string(&trace_path).unwrap();
