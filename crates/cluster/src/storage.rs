@@ -86,7 +86,8 @@ pub struct StorageHierarchy {
     pub kv_entry_limit: u64,
     /// Tiers to try, fastest first, for payloads above the KV limit.
     pub spill_tiers: Vec<StorageTier>,
-    /// Shared tier used for asynchronous flushes (must be shared).
+    /// Shared tier that prices asynchronous flushes and the restores
+    /// that follow a node loss (must be shared).
     pub shared_tier: StorageTier,
 }
 

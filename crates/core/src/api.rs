@@ -206,8 +206,8 @@ impl StateService {
             kv: Arc::new(ReplicatedKv::new(
                 members,
                 StoreConfig {
-                    shards: 16,
                     entry_limit: u64::MAX,
+                    ..StoreConfig::default()
                 },
             )),
         }

@@ -5,8 +5,10 @@
 //! payloads spill to the fastest available storage tier and only the
 //! *location* is pushed to the database (Algorithm 1 lines 4–9). The
 //! latest-*n* window (initially 3, dynamically adjusted) evicts the oldest
-//! checkpoint (lines 14–16). Checkpoints are asynchronously flushed to
-//! shared storage so they survive node-level failures (§IV-C.4b).
+//! checkpoint (lines 14–16). The paper also flushes checkpoints
+//! asynchronously to shared storage so they survive node-level failures
+//! (§IV-C.4b). No flushed copy is kept here: a restore after a node loss
+//! is priced as a read from [`StorageHierarchy::shared_tier`].
 //! Each function's window, ghost base and id counter live in one record
 //! (DESIGN.md §14), which a checkpoint enters only once its database
 //! commit succeeded.
@@ -30,7 +32,6 @@ use crate::config::{CanaryConfig, CheckpointMode};
 use crate::db::{payload_location, spill_location, CanaryDb, CheckpointInfoRow, DbError};
 use bytes::Bytes;
 use canary_cluster::{StorageHierarchy, StorageTier};
-use canary_kvstore::{AsyncFlusher, PersistentLog};
 use canary_sim::{SimDuration, SimTime};
 use canary_workloads::Encoder;
 use std::collections::{HashMap, VecDeque};
@@ -259,7 +260,6 @@ pub struct CheckpointingModule {
     window: usize,
     /// Per-function retained checkpoints, ghost base and id counter.
     fns: HashMap<u64, FnCheckpoints>,
-    flusher: AsyncFlusher,
     /// Content-addressed chunk bodies (the shared checkpoint-data tier).
     chunks: ChunkStore,
     /// Record-path scratch (DESIGN.md §15): the payload image builds in
@@ -297,7 +297,6 @@ impl CheckpointingModule {
             hierarchy,
             db,
             fns: HashMap::new(),
-            flusher: AsyncFlusher::new(Arc::new(PersistentLog::new())),
             chunks: ChunkStore::new(),
             payload_scratch: Vec::new(),
             manifest_enc: Encoder::new(),
@@ -309,6 +308,11 @@ impl CheckpointingModule {
     /// The active storage-path options.
     pub fn options(&self) -> CkptOptions {
         self.options
+    }
+
+    /// The metadata database the module writes checkpoints to.
+    pub fn db(&self) -> &CanaryDb {
+        &self.db
     }
 
     /// Billed payload size after the checkpoint-mode adjustment: explicit
@@ -364,13 +368,12 @@ impl CheckpointingModule {
 
     /// Record one durable state with a caller-supplied payload image (the
     /// differential suite drives arbitrary payloads through both storage
-    /// paths). Exactly one location-keyed database put and one async
-    /// flush happen per checkpoint in either mode — in blob mode the
-    /// payload itself, in chunked mode the manifest, while chunk bodies
-    /// live in the content-addressed store. The checkpoint enters the
-    /// window, and its chunk bodies the store, only once the database
-    /// commit succeeded: a failed commit leaves nothing behind but its
-    /// spent id.
+    /// paths). Exactly one location-keyed database put happens per
+    /// checkpoint in either mode — in blob mode the payload itself, in
+    /// chunked mode the manifest, while chunk bodies live in the
+    /// content-addressed store. The checkpoint enters the window, and its
+    /// chunk bodies the store, only once the database commit succeeded: a
+    /// failed commit leaves nothing behind but its spent id.
     pub fn record_payload(
         &mut self,
         job_id: u32,
@@ -386,8 +389,8 @@ impl CheckpointingModule {
         let ckpt_id = f.next_id;
         f.next_id += 1;
         // Compact binary location keys fit the `Bytes` inline cap:
-        // building and cloning them through the row, the flusher, and
-        // the retained record never allocates.
+        // building and cloning them through the row and the retained
+        // record never allocates.
         let location = if tier == StorageTier::KvStore {
             payload_location(fn_id, ckpt_id)
         } else {
@@ -421,13 +424,11 @@ impl CheckpointingModule {
             );
             (Bytes::copy_from_slice(self.manifest_enc.encoded()), hashes)
         };
-        // One refcounted buffer serves every consumer: the db put (fanned
-        // out to each KV replica), and the async flush to shared storage
-        // (survives node loss). `Bytes::clone` bumps a refcount; no
-        // payload bytes are copied past this point. The payload and its
-        // metadata row group-commit as one store batch — a single write
-        // pass with the same WAL record stream as two sequential puts
-        // (DESIGN.md §15).
+        // The stored buffer moves into the db put, which fans it out to
+        // each KV replica as a refcount bump; no stored bytes are copied
+        // past this point. The payload and its metadata row group-commit
+        // as one store batch — a single write pass with the same WAL
+        // record stream as two sequential puts (DESIGN.md §15).
         let committed = self.db.put_checkpoint_with_payload(
             &CheckpointInfoRow {
                 ckpt_id,
@@ -439,13 +440,12 @@ impl CheckpointingModule {
                 location: location.clone(),
                 created_us: now.as_micros(),
             },
-            Bytes::clone(&stored),
+            stored,
         );
         if let Err(e) = committed {
             self.recycle(hashes);
             return Err(e);
         }
-        self.flusher.enqueue(location.clone(), stored);
 
         // `slice` shares the payload allocation, so a newly stored chunk
         // body costs a refcount bump, not a copy.
@@ -569,8 +569,8 @@ impl CheckpointingModule {
         self.probe(fn_id, is_corrupt, |_, row, probe_cost| {
             let tier = tier_from_ordinal(row.tier);
             let read_tier = if node_lost && !tier.is_shared() {
-                // The local copy is gone; read the asynchronously flushed
-                // copy from shared storage.
+                // The local copy died with the node; price the read
+                // from the shared tier.
                 self.hierarchy.shared_tier
             } else {
                 tier
@@ -790,16 +790,9 @@ impl CheckpointingModule {
         Ok(())
     }
 
-    /// Block until all enqueued flushes are durable (used by recovery
-    /// tests and at shutdown).
-    pub fn flush_barrier(&self) {
-        self.flusher.barrier();
-    }
-
-    /// Records flushed to shared storage so far.
-    pub fn flushed_records(&self) -> usize {
-        self.flusher.log().len()
-    }
+    /// Does nothing: no checkpoint is flushed asynchronously, so there
+    /// is nothing to wait for. Kept for callers that still call it.
+    pub fn flush_barrier(&self) {}
 }
 
 #[cfg(test)]
@@ -932,28 +925,19 @@ mod tests {
     fn payload_buffer_is_shared_not_copied() {
         let mut m = module();
         m.record(0, 11, 0, 64 * 1024, SimTime::ZERO).unwrap();
-        m.flush_barrier();
         let row = &m.db.checkpoints_of(11).unwrap()[0];
         let stored = m.db.get_payload(&row.location).unwrap();
-        let flushed = m.flusher.log().latest_for(&row.location).unwrap().value;
-        // The db copy and the shared-storage copy are the same underlying
-        // allocation — the record path never duplicated the payload.
-        assert_eq!(stored, flushed);
+        // With member 0 gone the read is served by member 1, whose copy
+        // is the same underlying allocation — the record path never
+        // duplicated the stored bytes per replica.
+        m.db.kv().fail_node(0).unwrap();
+        let replica = m.db.get_payload(&row.location).unwrap();
+        assert_eq!(stored, replica);
         assert_eq!(
             stored.as_ptr(),
-            flushed.as_ptr(),
-            "payload was deep-copied between db put and flusher enqueue"
+            replica.as_ptr(),
+            "stored bytes were deep-copied between replicas"
         );
-    }
-
-    #[test]
-    fn async_flush_makes_checkpoints_durable() {
-        let mut m = module();
-        for s in 0..4u32 {
-            m.record(0, 7, s, 1024, SimTime::ZERO).unwrap();
-        }
-        m.flush_barrier();
-        assert_eq!(m.flushed_records(), 4);
     }
 
     #[test]

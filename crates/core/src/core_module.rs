@@ -73,7 +73,7 @@ fn note_fallback(platform: &mut Platform, event: TraceKind) {
 /// Canary, assembled.
 pub struct CanaryStrategy {
     config: CanaryConfig,
-    db: Arc<CanaryDb>,
+    /// Owns the metadata database ([`CanaryStrategy::db`] borrows it).
     checkpointing: CheckpointingModule,
     runtime_manager: RuntimeManager,
     replication: ReplicationModule,
@@ -90,11 +90,10 @@ impl CanaryStrategy {
     /// replicated across three members (Ignite's replicated caching mode).
     pub fn new(config: CanaryConfig) -> Self {
         config.validate().expect("invalid Canary configuration");
-        let db = Arc::new(CanaryDb::new(3));
         let checkpointing = CheckpointingModule::new(
             config.clone(),
             canary_cluster::StorageHierarchy::default(),
-            Arc::clone(&db),
+            Arc::new(CanaryDb::new(3)),
         );
         CanaryStrategy {
             replication: ReplicationModule::new(config.clone()),
@@ -104,7 +103,6 @@ impl CanaryStrategy {
             predictor: FailurePredictor::new(),
             workers_registered: false,
             risky_scratch: Vec::new(),
-            db,
             config,
         }
     }
@@ -115,8 +113,8 @@ impl CanaryStrategy {
     }
 
     /// The metadata database (exposed for tests and tools).
-    pub fn db(&self) -> &Arc<CanaryDb> {
-        &self.db
+    pub fn db(&self) -> &CanaryDb {
+        self.checkpointing.db()
     }
 
     /// The checkpointing module (exposed for tests and tools).
@@ -167,7 +165,7 @@ impl CanaryStrategy {
         for node in platform.config().cluster.nodes() {
             // Metadata writes are best effort under chaos: a store outage
             // loses bookkeeping rows, not correctness.
-            let _ = self.db.put_worker(&WorkerInfoRow {
+            let _ = self.db().put_worker(&WorkerInfoRow {
                 node_id: node.id.0,
                 cpu_class: cpu_ordinal(node.cpu),
                 memory_mb: node.memory_mb,
@@ -371,7 +369,7 @@ impl FtStrategy for CanaryStrategy {
                 j.submitted_at,
             )
         };
-        let _ = self.db.put_job(&JobInfoRow {
+        let _ = self.db().put_job(&JobInfoRow {
             job_id: job.0,
             runtime,
             invocations,
@@ -380,7 +378,7 @@ impl FtStrategy for CanaryStrategy {
             submitted_us: submitted.as_micros(),
         });
         for fn_id in fn_ids {
-            let _ = self.db.put_function(&FunctionInfoRow {
+            let _ = self.db().put_function(&FunctionInfoRow {
                 fn_id: fn_id.0,
                 job_id: job.0,
                 runtime,
@@ -549,7 +547,7 @@ impl FtStrategy for CanaryStrategy {
 
         // Track the failed function's row.
         let job = platform.fn_record(fn_id).job;
-        let _ = self.db.put_function(&FunctionInfoRow {
+        let _ = self.db().put_function(&FunctionInfoRow {
             fn_id: fn_id.0,
             job_id: job.0,
             runtime,
@@ -560,7 +558,7 @@ impl FtStrategy for CanaryStrategy {
     }
 
     fn on_chaos(&mut self, platform: &mut Platform, fault: &FaultEvent) {
-        let kv = self.db.kv();
+        let kv = self.db().kv();
         match *fault {
             FaultEvent::StoreDown { member } => {
                 let _ = kv.fail_node(member as usize % kv.member_count());
@@ -585,7 +583,7 @@ impl FtStrategy for CanaryStrategy {
                 // so only the trace and counters record that it happened.
                 // Without a WAL (CANARY_NO_WAL) the metadata is simply
                 // gone and later restores fall back to rerun-from-start.
-                match self.db.crash_and_recover() {
+                match self.db().crash_and_recover() {
                     Ok(recovery) => {
                         platform.emit(TraceKind::ControllerRecovered {
                             snapshot: recovery.snapshot_entries,
@@ -634,7 +632,7 @@ impl FtStrategy for CanaryStrategy {
         };
         let _ = self.checkpointing.forget(fn_id.0);
         self.runtime_manager.note_function_finished(runtime);
-        let _ = self.db.put_function(&FunctionInfoRow {
+        let _ = self.db().put_function(&FunctionInfoRow {
             fn_id: fn_id.0,
             job_id: job.0,
             runtime,
@@ -654,11 +652,10 @@ impl FtStrategy for CanaryStrategy {
                 platform.reclaim_container(container);
             }
         }
-        self.checkpointing.flush_barrier();
         // Export the metadata database's per-table traffic into the run's
         // telemetry snapshot.
-        let stats = self.db.table_stats();
-        let (cache_hits, cache_misses) = self.db.cache_stats();
+        let stats = self.db().table_stats();
+        let (cache_hits, cache_misses) = self.db().cache_stats();
         let tel = platform.telemetry_mut();
         for (table, reads, writes) in stats {
             tel.set_table_stats(table, reads, writes);

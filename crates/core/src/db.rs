@@ -592,10 +592,10 @@ impl CanaryDb {
     /// New database with explicit fast-path/oracle configuration.
     pub fn with_options(opts: DbOptions) -> Self {
         let store_config = StoreConfig {
-            shards: 16,
             // Metadata rows are small; the entry limit applies to
             // checkpoint payloads, not table rows.
             entry_limit: u64::MAX,
+            ..StoreConfig::default()
         };
         let kv = if opts.durable {
             ReplicatedKv::durable(
@@ -930,15 +930,15 @@ impl CanaryDb {
     }
 
     /// Group-commit a checkpoint: the payload put and its
-    /// `checkpoint_info` row land in **one** sharded-store write batch
-    /// (one shard-lock acquisition per shard per replica, via
-    /// [`ReplicatedKv::put_batch`]) instead of two independent puts.
-    /// Observationally identical to `put_payload` + `put_checkpoint` in
-    /// that order: same per-table traffic counts, same final store
-    /// contents, byte-identical WAL record stream, same write-through
-    /// cache update — only the lock traffic differs. The row must
-    /// reference `location` (it is stored in the row and used as the
-    /// batch's payload key).
+    /// `checkpoint_info` row land in **one** store write batch (one write
+    /// lock per replica, via [`ReplicatedKv::put_batch`]) instead of two
+    /// independent puts. Observationally identical to `put_payload` +
+    /// `put_checkpoint` in that order: same per-table traffic counts,
+    /// same final store contents, byte-identical WAL record stream, same
+    /// write-through cache update — only the lock traffic differs. The
+    /// row must reference `location` (it is stored in the row and used as
+    /// the batch's payload key). The payload handle is stored as-is on
+    /// every replica, never copied.
     pub fn put_checkpoint_with_payload(
         &self,
         row: &CheckpointInfoRow,

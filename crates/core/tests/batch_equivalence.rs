@@ -1,7 +1,7 @@
 //! Differential property tests for the group-commit checkpoint path.
 //!
 //! The hot path commits a checkpoint's payload and its `checkpoint_info`
-//! row through one sharded-store write batch
+//! row through one store write batch
 //! ([`CanaryDb::put_checkpoint_with_payload`]); the slow, obviously-
 //! correct oracle issues the same two writes one put at a time
 //! (`put_payload` then `put_checkpoint`). Under arbitrary sequences of
@@ -15,17 +15,11 @@
 //!   reframe durable records — a batch is the *same* records),
 //! - crash-recovery outcomes (snapshot entries, replayed records and
 //!   bytes, torn-tail detection).
-//!
-//! A second property pins the async flusher: enqueue + barrier through
-//! the background thread yields exactly the log an inline writer
-//! produces, for arbitrary interleavings of writes and barriers.
 
 use bytes::Bytes;
 use canary_core::db::{payload_location, CanaryDb, CheckpointInfoRow, DbOptions};
-use canary_kvstore::{AsyncFlusher, LogRecord, PersistentLog};
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
-use std::sync::Arc;
 
 #[derive(Debug, Clone)]
 enum Op {
@@ -159,32 +153,5 @@ proptest! {
             }
             check_identical(&batched, &oracle)?;
         }
-    }
-
-    /// Async flusher vs inline writer: for any interleaving of writes and
-    /// barriers, the background thread's log ends up record-for-record
-    /// identical to appending inline — same records, same order, nothing
-    /// dropped or duplicated across barriers.
-    #[test]
-    fn flusher_log_equals_inline_log(
-        // (key seed, value length, barrier-after?) per step
-        steps in proptest::collection::vec((any::<u8>(), 0usize..64, any::<bool>()), 0..200)
-    ) {
-        let flushed = Arc::new(PersistentLog::new());
-        let flusher = AsyncFlusher::new(Arc::clone(&flushed));
-        let inline = PersistentLog::new();
-        for &(seed, len, barrier) in &steps {
-            let key = Bytes::from(vec![seed, seed.wrapping_mul(7)]);
-            let value = Bytes::from(vec![seed; len]);
-            flusher.enqueue(key.clone(), value.clone());
-            inline.append(LogRecord { key, value });
-            if barrier {
-                flusher.barrier();
-                prop_assert_eq!(flushed.len(), inline.len());
-            }
-        }
-        let total = flusher.shutdown();
-        prop_assert_eq!(total as usize, steps.len());
-        prop_assert_eq!(flushed.snapshot(), inline.snapshot());
     }
 }

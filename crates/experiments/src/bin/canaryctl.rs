@@ -182,7 +182,12 @@ fn parse_args() -> Args {
     if !explicit_strategies.is_empty() {
         args.strategies = explicit_strategies;
     }
-    if !(0.0..=1.0).contains(&args.rate) || args.invocations == 0 || args.nodes == 0 {
+    if !(0.0..=1.0).contains(&args.rate)
+        || !(0.0..=1.0).contains(&args.node_failures)
+        || args.invocations == 0
+        || args.nodes == 0
+        || args.reps == 0
+    {
         usage()
     }
     args
@@ -423,6 +428,7 @@ fn load_main(raw: Vec<String>) {
         }
     }
     if cfg.rates_hz.is_empty()
+        || cfg.rates_hz.iter().any(|r| !(r.is_finite() && *r > 0.0))
         || cfg.jobs == 0
         || cfg.max_inflight == 0
         || !(0.0..=1.0).contains(&cfg.error_rate)

@@ -5,8 +5,9 @@
 //!
 //! Expected shape (§V-D.6): retry's recovery grows with the batch size;
 //! Canary's stays near zero because checkpoints live in cluster-shared
-//! storage (node failures are recovered from the flushed copies) and
-//! replicated runtimes absorb the restarts — up to 80% reduction.
+//! storage (a restore after a node failure is priced as a read from the
+//! shared tier) and replicated runtimes absorb the restarts — up to 80%
+//! reduction.
 
 use super::{sweep_into, trio, FigureOptions, Metric};
 use crate::scenario::Scenario;

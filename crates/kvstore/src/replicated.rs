@@ -39,7 +39,7 @@ pub struct WalRecovery {
 /// A KV store replicated across cluster members.
 #[derive(Debug)]
 pub struct ReplicatedKv {
-    members: Vec<Arc<KvStore>>,
+    members: Vec<KvStore>,
     alive: Vec<AtomicBool>,
     /// Bumped on every membership event that can change the group's
     /// contents out from under a caller (node failure wipes a copy, empty
@@ -56,9 +56,7 @@ impl ReplicatedKv {
     pub fn new(members: usize, config: StoreConfig) -> Self {
         assert!(members > 0, "replica group needs a member");
         ReplicatedKv {
-            members: (0..members)
-                .map(|_| Arc::new(KvStore::new(config.clone())))
-                .collect(),
+            members: (0..members).map(|_| KvStore::new(config.clone())).collect(),
             alive: (0..members).map(|_| AtomicBool::new(true)).collect(),
             generation: AtomicU64::new(0),
             wal: None,
@@ -156,13 +154,13 @@ impl ReplicatedKv {
     }
 
     /// Group-commit batch write: apply every entry to every live member
-    /// (one shard-lock acquisition per shard per member per batch, via
-    /// [`KvStore::put_batch`]), then log one [`WalOp::Put`] per entry in
-    /// slice order. The WAL record stream is byte-identical to the
-    /// equivalent sequence of [`ReplicatedKv::put_shared`] calls, so
-    /// crash replay cannot tell batched and unbatched writers apart; the
-    /// store-side application is atomic per member (an oversized value
-    /// fails the whole batch before anything lands).
+    /// (one write lock per member per batch, via [`KvStore::put_batch`]),
+    /// then log one [`WalOp::Put`] per entry in slice order. The WAL
+    /// record stream is byte-identical to the equivalent sequence of
+    /// [`ReplicatedKv::put_shared`] calls, so crash replay cannot tell
+    /// batched and unbatched writers apart; the store-side application
+    /// is atomic per member (an oversized value fails the whole batch
+    /// before anything lands).
     pub fn put_batch(&self, entries: &[(Bytes, Bytes)]) -> Result<(), KvError> {
         let mut wrote = false;
         for (store, alive) in self.members.iter().zip(&self.alive) {
@@ -259,8 +257,9 @@ impl ReplicatedKv {
     }
 
     /// Rejoin member `node`, resynchronizing its copy from the first live
-    /// survivor. Fails when the whole group is down (data loss — which is
-    /// why checkpoints are also flushed to shared storage).
+    /// survivor. Fails when the whole group is down: with no donor left
+    /// the data is lost, and [`ReplicatedKv::rejoin_empty`] is the only
+    /// way back.
     pub fn recover_node(&self, node: usize) -> Result<(), KvError> {
         if node >= self.members.len() {
             return Err(KvError::UnknownNode { node });

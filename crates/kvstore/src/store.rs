@@ -1,7 +1,7 @@
-//! Sharded concurrent key-value store.
+//! Ordered key-value store.
 //!
-//! The single-node building block of the replicated store: a hash-sharded
-//! ordered map from byte keys to byte values with a per-entry size limit,
+//! The single-node building block of the replicated store: one ordered
+//! map from byte keys to byte values with a per-entry size limit,
 //! mirroring how Canary uses Apache Ignite — application states keyed by
 //! function ID, values capped by the database entry limit (Algorithm 1's
 //! `db_limit`).
@@ -9,9 +9,9 @@
 //! Keys are raw bytes ([`Bytes`]), not strings: the metadata fast path
 //! stores fixed-size typed keys (table tag + big-endian ids) that never
 //! touch the heap on lookup, while string callers keep working through
-//! the `AsRef<[u8]>` API. Each shard is an ordered map, so prefix and
-//! range queries walk only the matching keys ([`KvStore::keys_in_range`])
-//! instead of scanning the whole table — the old full scan survives as
+//! the `AsRef<[u8]>` API. The map is ordered, so prefix and range queries
+//! walk only the matching keys ([`KvStore::keys_in_range`]) instead of
+//! scanning the whole table — the full scan survives as
 //! [`KvStore::keys_with_prefix_scan`], the equivalence oracle.
 
 use crate::error::KvError;
@@ -19,12 +19,12 @@ use bytes::Bytes;
 use parking_lot::RwLock;
 use std::collections::BTreeMap;
 use std::ops::Bound;
-use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Store configuration.
 #[derive(Debug, Clone)]
 pub struct StoreConfig {
-    /// Number of lock shards (power of two recommended).
+    /// Ignored: every store is one ordered map. Kept so that callers
+    /// which still set it by field keep compiling.
     pub shards: usize,
     /// Per-entry value size limit in bytes; `u64::MAX` disables the check.
     pub entry_limit: u64,
@@ -33,7 +33,7 @@ pub struct StoreConfig {
 impl Default for StoreConfig {
     fn default() -> Self {
         StoreConfig {
-            shards: 16,
+            shards: 1,
             entry_limit: 8 * 1024 * 1024,
         }
     }
@@ -49,30 +49,19 @@ pub(crate) fn prefix_upper_bound(prefix: &[u8]) -> Option<Vec<u8>> {
     Some(hi)
 }
 
-/// A sharded `Bytes -> Bytes` ordered map safe for concurrent use.
+/// An ordered `Bytes -> Bytes` map safe for concurrent use.
 #[derive(Debug)]
 pub struct KvStore {
-    shards: Vec<RwLock<BTreeMap<Bytes, Bytes>>>,
-    config: StoreConfig,
-    /// Live entry count across all shards, maintained on every mutation
-    /// so [`KvStore::len`] is one atomic load instead of a lock-and-sum
-    /// over every shard. The WAL compaction gate calls `len` on every
-    /// logged op — at that call rate the O(shards) walk dominated the
-    /// whole write path.
-    count: AtomicUsize,
+    map: RwLock<BTreeMap<Bytes, Bytes>>,
+    entry_limit: u64,
 }
 
 impl KvStore {
     /// Create a store with the given configuration.
     pub fn new(config: StoreConfig) -> Self {
-        assert!(config.shards > 0, "need at least one shard");
-        let shards = (0..config.shards)
-            .map(|_| RwLock::new(BTreeMap::new()))
-            .collect();
         KvStore {
-            shards,
-            config,
-            count: AtomicUsize::new(0),
+            map: RwLock::new(BTreeMap::new()),
+            entry_limit: config.entry_limit,
         }
     }
 
@@ -83,21 +72,17 @@ impl KvStore {
 
     /// The configured per-entry limit.
     pub fn entry_limit(&self) -> u64 {
-        self.config.entry_limit
+        self.entry_limit
     }
 
-    fn shard_index(&self, key: &[u8]) -> usize {
-        // FNV-1a keeps shard choice deterministic across runs/platforms.
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        for &b in key {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x100_0000_01b3);
+    fn check_size(&self, value: &Bytes) -> Result<(), KvError> {
+        if value.len() as u64 > self.entry_limit {
+            return Err(KvError::EntryTooLarge {
+                size: value.len() as u64,
+                limit: self.entry_limit,
+            });
         }
-        (h % self.shards.len() as u64) as usize
-    }
-
-    fn shard_for(&self, key: &[u8]) -> &RwLock<BTreeMap<Bytes, Bytes>> {
-        &self.shards[self.shard_index(key)]
+        Ok(())
     }
 
     /// Insert or replace `key`. Fails with [`KvError::EntryTooLarge`] if
@@ -112,70 +97,24 @@ impl KvStore {
     /// key is stored as-is, so a replica group can fan one key allocation
     /// out to every member instead of re-allocating per copy.
     pub fn put_shared(&self, key: Bytes, value: Bytes) -> Result<(), KvError> {
-        if value.len() as u64 > self.config.entry_limit {
-            return Err(KvError::EntryTooLarge {
-                size: value.len() as u64,
-                limit: self.config.entry_limit,
-            });
-        }
-        let mut guard = self.shard_for(&key).write();
-        if guard.insert(key, value).is_none() {
-            self.count.fetch_add(1, Ordering::Relaxed);
-        }
+        self.check_size(&value)?;
+        self.map.write().insert(key, value);
         Ok(())
     }
 
-    /// Group-commit write batch: insert every entry, taking each shard's
-    /// write lock **once per batch** instead of once per entry. Entries
-    /// land in slice order (last write to a key wins, exactly as the
-    /// equivalent sequence of [`KvStore::put_shared`] calls), and the
+    /// Group-commit write batch: insert every entry under one write lock.
+    /// Entries land in slice order (last write to a key wins, exactly as
+    /// the equivalent sequence of [`KvStore::put_shared`] calls), and the
     /// whole batch is validated against the entry limit up front — a
     /// batch containing an oversized value fails atomically, storing
     /// nothing. Key and value handles are refcount-shared, never copied.
     pub fn put_batch(&self, entries: &[(Bytes, Bytes)]) -> Result<(), KvError> {
         for (_, value) in entries {
-            if value.len() as u64 > self.config.entry_limit {
-                return Err(KvError::EntryTooLarge {
-                    size: value.len() as u64,
-                    limit: self.config.entry_limit,
-                });
-            }
+            self.check_size(value)?;
         }
-        // Small batches (the hot path: one checkpoint's payload + row)
-        // group entries by shard with a stack bitmask; larger batches walk
-        // the shard list instead. Both take each shard lock exactly once.
-        if entries.len() <= 64 {
-            let mut done = 0u64;
-            for i in 0..entries.len() {
-                if done & (1 << i) != 0 {
-                    continue;
-                }
-                let shard = self.shard_index(&entries[i].0);
-                let mut guard = self.shards[shard].write();
-                for (j, (key, value)) in entries.iter().enumerate().skip(i) {
-                    if done & (1 << j) == 0 && self.shard_index(key) == shard {
-                        if guard.insert(key.clone(), value.clone()).is_none() {
-                            self.count.fetch_add(1, Ordering::Relaxed);
-                        }
-                        done |= 1 << j;
-                    }
-                }
-            }
-        } else {
-            for (shard, lock) in self.shards.iter().enumerate() {
-                let mut guard = None;
-                for (key, value) in entries {
-                    if self.shard_index(key) == shard {
-                        let inserted = guard
-                            .get_or_insert_with(|| lock.write())
-                            .insert(key.clone(), value.clone())
-                            .is_none();
-                        if inserted {
-                            self.count.fetch_add(1, Ordering::Relaxed);
-                        }
-                    }
-                }
-            }
+        let mut map = self.map.write();
+        for (key, value) in entries {
+            map.insert(key.clone(), value.clone());
         }
         Ok(())
     }
@@ -184,7 +123,7 @@ impl KvStore {
     /// — no key allocation.
     pub fn get(&self, key: impl AsRef<[u8]>) -> Result<Bytes, KvError> {
         let key = key.as_ref();
-        self.shard_for(key)
+        self.map
             .read()
             .get(key)
             .cloned()
@@ -195,23 +134,17 @@ impl KvStore {
 
     /// Remove `key`, returning its value if present.
     pub fn remove(&self, key: impl AsRef<[u8]>) -> Option<Bytes> {
-        let key = key.as_ref();
-        let removed = self.shard_for(key).write().remove(key);
-        if removed.is_some() {
-            self.count.fetch_sub(1, Ordering::Relaxed);
-        }
-        removed
+        self.map.write().remove(key.as_ref())
     }
 
     /// True when `key` is present.
     pub fn contains(&self, key: impl AsRef<[u8]>) -> bool {
-        let key = key.as_ref();
-        self.shard_for(key).read().contains_key(key)
+        self.map.read().contains_key(key.as_ref())
     }
 
-    /// Number of entries across all shards (one atomic load).
+    /// Number of entries.
     pub fn len(&self) -> usize {
-        self.count.load(Ordering::Relaxed)
+        self.map.read().len()
     }
 
     /// True when the store holds no entries.
@@ -221,32 +154,21 @@ impl KvStore {
 
     /// Total stored value bytes.
     pub fn total_bytes(&self) -> u64 {
-        self.shards
-            .iter()
-            .map(|s| s.read().values().map(|v| v.len() as u64).sum::<u64>())
-            .sum()
+        self.map.read().values().map(|v| v.len() as u64).sum()
     }
 
-    /// All keys in `[lo, hi)`, ascending. Each shard contributes an
-    /// ordered range walk (only matching keys are touched); the per-shard
-    /// results are merged with one final sort over the matches.
+    /// All keys in `[lo, hi)`, ascending: one ordered range walk that
+    /// touches only the matching keys.
     pub fn keys_in_range(&self, lo: &[u8], hi: Option<&[u8]>) -> Vec<Bytes> {
         let upper = match hi {
             Some(h) => Bound::Excluded(h),
             None => Bound::Unbounded,
         };
-        let mut keys: Vec<Bytes> = self
-            .shards
-            .iter()
-            .flat_map(|s| {
-                s.read()
-                    .range::<[u8], _>((Bound::Included(lo), upper))
-                    .map(|(k, _)| k.clone())
-                    .collect::<Vec<_>>()
-            })
-            .collect();
-        keys.sort_unstable();
-        keys
+        self.map
+            .read()
+            .range::<[u8], _>((Bound::Included(lo), upper))
+            .map(|(k, _)| k.clone())
+            .collect()
     }
 
     /// All keys starting with `prefix`, ascending — ordered range
@@ -256,49 +178,32 @@ impl KvStore {
         self.keys_in_range(prefix, prefix_upper_bound(prefix).as_deref())
     }
 
-    /// Pre-range full-scan prefix query, retained as the equivalence
-    /// oracle for [`KvStore::keys_with_prefix`]: walks every key in every
-    /// shard and filters.
+    /// Full-scan prefix query, retained as the equivalence oracle for
+    /// [`KvStore::keys_with_prefix`]: walks every key in order and
+    /// filters.
     pub fn keys_with_prefix_scan(&self, prefix: impl AsRef<[u8]>) -> Vec<Bytes> {
         let prefix = prefix.as_ref();
-        let mut keys: Vec<Bytes> = self
-            .shards
-            .iter()
-            .flat_map(|s| {
-                s.read()
-                    .keys()
-                    .filter(|k| k.as_ref().starts_with(prefix))
-                    .cloned()
-                    .collect::<Vec<_>>()
-            })
-            .collect();
-        keys.sort_unstable();
-        keys
+        self.map
+            .read()
+            .keys()
+            .filter(|k| k.as_ref().starts_with(prefix))
+            .cloned()
+            .collect()
     }
 
-    /// Snapshot of every entry (used to rebuild a recovered replica).
+    /// Every entry in key order (used to rebuild a recovered replica and
+    /// to compact the WAL, whose snapshot bytes depend on the order).
     pub fn snapshot(&self) -> Vec<(Bytes, Bytes)> {
-        let mut out: Vec<(Bytes, Bytes)> = self
-            .shards
+        self.map
+            .read()
             .iter()
-            .flat_map(|s| {
-                s.read()
-                    .iter()
-                    .map(|(k, v)| (k.clone(), v.clone()))
-                    .collect::<Vec<_>>()
-            })
-            .collect();
-        out.sort_unstable_by(|a, b| a.0.cmp(&b.0));
-        out
+            .map(|(k, v)| (k.clone(), v.clone()))
+            .collect()
     }
 
     /// Remove every entry.
     pub fn clear(&self) {
-        for s in &self.shards {
-            let mut guard = s.write();
-            self.count.fetch_sub(guard.len(), Ordering::Relaxed);
-            guard.clear();
-        }
+        self.map.write().clear();
     }
 }
 
@@ -329,8 +234,8 @@ mod tests {
     #[test]
     fn entry_limit_enforced() {
         let store = KvStore::new(StoreConfig {
-            shards: 4,
             entry_limit: 8,
+            ..StoreConfig::default()
         });
         assert!(store.put("ok", Bytes::from(vec![0u8; 8])).is_ok());
         let err = store.put("big", Bytes::from(vec![0u8; 9])).unwrap_err();

@@ -23,11 +23,11 @@ fn op_strategy() -> impl Strategy<Value = Op> {
 }
 
 proptest! {
-    /// The sharded store agrees with a reference HashMap under arbitrary
+    /// The store agrees with a reference HashMap under arbitrary
     /// put/remove interleavings.
     #[test]
     fn store_matches_reference(ops in proptest::collection::vec((any::<u8>(), any::<bool>(), any::<u8>()), 0..200)) {
-        let store = KvStore::new(StoreConfig { shards: 4, entry_limit: u64::MAX });
+        let store = KvStore::new(StoreConfig { entry_limit: u64::MAX, ..StoreConfig::default() });
         let mut reference = std::collections::HashMap::new();
         for (key, is_put, val) in ops {
             let k = format!("k{key}");
@@ -83,7 +83,7 @@ proptest! {
         keys in proptest::collection::vec(proptest::collection::vec(any::<u8>(), 0..6), 0..60),
         prefix in proptest::collection::vec(any::<u8>(), 0..4),
     ) {
-        let store = KvStore::new(StoreConfig { shards: 4, entry_limit: u64::MAX });
+        let store = KvStore::new(StoreConfig { entry_limit: u64::MAX, ..StoreConfig::default() });
         for k in &keys {
             store.put(k, Bytes::new()).unwrap();
         }
@@ -97,10 +97,12 @@ proptest! {
 }
 
 proptest! {
-    /// The O(1) entry counter stays exactly in sync with the shard maps
+    /// The entry count stays exactly in sync with the map's contents
     /// under arbitrary single puts, group-commit batches (duplicate keys
     /// inside a batch included — last write wins), removes, and clears;
-    /// contents always match a reference map driven by the same ops.
+    /// contents always match a reference map driven by the same ops, and
+    /// the snapshot comes out in key order, which the WAL snapshot bytes
+    /// depend on.
     #[test]
     fn len_counter_matches_shards(
         ops in proptest::collection::vec(
@@ -118,7 +120,7 @@ proptest! {
             0..100,
         )
     ) {
-        let store = KvStore::new(StoreConfig { shards: 8, entry_limit: u64::MAX });
+        let store = KvStore::new(StoreConfig { entry_limit: u64::MAX, ..StoreConfig::default() });
         let mut reference = std::collections::BTreeMap::new();
         for (kind, entries) in ops {
             match kind {
@@ -144,23 +146,24 @@ proptest! {
                     reference.clear();
                 }
             }
-            // The atomic counter, a fresh shard walk, and the reference
+            // The entry count, a fresh snapshot walk, and the reference
             // model must all agree.
             prop_assert_eq!(store.len(), store.snapshot().len());
             prop_assert_eq!(store.len(), reference.len());
         }
-        let mut snap = store.snapshot();
-        snap.sort();
+        // No sort: the snapshot must already be in key order, like the
+        // reference map's iteration.
+        let snap = store.snapshot();
         let expect: Vec<(Bytes, Bytes)> =
             reference.iter().map(|(k, v)| (k.clone(), v.clone())).collect();
         prop_assert_eq!(snap, expect);
     }
 
     /// A batch containing an oversized value fails atomically: nothing is
-    /// stored, the counter does not move.
+    /// stored, the count does not move.
     #[test]
     fn oversized_batch_stores_nothing(split in 0usize..5, seed in any::<u8>()) {
-        let store = KvStore::new(StoreConfig { shards: 4, entry_limit: 8 });
+        let store = KvStore::new(StoreConfig { entry_limit: 8, ..StoreConfig::default() });
         store.put("keep", Bytes::from_static(b"ok")).unwrap();
         let mut batch: Vec<(Bytes, Bytes)> = (0..5u8)
             .map(|i| (Bytes::from(vec![seed.wrapping_add(i)]), Bytes::from(vec![i; 4])))

@@ -215,3 +215,34 @@ fn canaryctl_exports_trace_timeline_and_telemetry() {
 
     std::fs::remove_dir_all(&dir).ok();
 }
+
+/// Out-of-range values are usage errors (exit 2) caught at parse time,
+/// not panics deep inside a run: `--reps` must be at least 1,
+/// `--node-failures` a probability, and every `load --rates` value a
+/// finite rate above zero.
+#[test]
+fn canaryctl_rejects_out_of_range_flags() {
+    let cases: &[&[&str]] = &[
+        &["--reps", "0"],
+        &["--node-failures", "NaN"],
+        &["--node-failures", "7"],
+        &["--node-failures", "-1"],
+        &["load", "--quick", "--rates", "0"],
+        &["load", "--quick", "--rates", "-1"],
+        &["load", "--quick", "--rates", "NaN"],
+        &["load", "--quick", "--rates", "1,0"],
+        &["load", "--quick", "--rates", "inf"],
+    ];
+    for argv in cases {
+        let out = Command::new(env!("CARGO_BIN_EXE_canaryctl"))
+            .args(*argv)
+            .output()
+            .expect("canaryctl runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{argv:?}:\n{stderr}");
+        assert!(
+            stderr.lines().any(|l| l.starts_with("usage: canaryctl")),
+            "{argv:?} printed no usage line:\n{stderr}"
+        );
+    }
+}
