@@ -1,6 +1,7 @@
 //! Golden chaos traces: the canonical `mixed` chaos scenario, pinned by
 //! seed, must reproduce byte-identical JSONL traces run after run and
-//! match the committed goldens in `tests/goldens/`.
+//! match the committed goldens in `tests/goldens/`. The metadata db's
+//! write-ahead-log image after each pinned run is pinned the same way.
 //!
 //! When a deliberate engine or chaos change moves the traces, re-bless
 //! with:
@@ -11,7 +12,7 @@
 //!
 //! and review the golden diff like any other code change.
 
-use canary_core::ReplicationStrategyKind;
+use canary_core::{CanaryConfig, CanaryStrategy, ReplicationStrategyKind};
 use canary_experiments::{chaos, trace_from_jsonl, trace_to_jsonl, StrategyKind};
 use canary_platform::{RunResult, TraceKind};
 use std::path::PathBuf;
@@ -35,16 +36,21 @@ fn blessing() -> bool {
 /// when blessing. Failure messages name the bless command because the
 /// expected bytes are far too long to eyeball in assert output.
 fn check_golden(name: &str, actual: &str) {
+    check_golden_bytes(name, actual.as_bytes());
+}
+
+/// [`check_golden`] for binary goldens.
+fn check_golden_bytes(name: &str, actual: &[u8]) {
     let path = golden_path(name);
     if blessing() {
         std::fs::write(&path, actual).unwrap_or_else(|e| panic!("bless {name}: {e}"));
         return;
     }
-    let expected = std::fs::read_to_string(&path).unwrap_or_else(|e| {
+    let expected = std::fs::read(&path).unwrap_or_else(|e| {
         panic!("missing golden {name} ({e}); run with CANARY_BLESS=1 to create it")
     });
     assert!(
-        expected == *actual,
+        expected == actual,
         "{name} drifted from the committed golden; if the change is \
          deliberate, re-bless with CANARY_BLESS=1 and review the diff"
     );
@@ -143,6 +149,35 @@ fn controller_crash_golden_is_the_mixed_golden_plus_markers() {
         "crash markers aside, the controller-crash golden must equal the \
          mixed golden byte-for-byte"
     );
+}
+
+/// The metadata db's write-ahead-log image after one run of scenario `name`,
+/// with the Canary strategy built outside the run the way
+/// `canaryctl chaos --wal-out` builds it.
+fn wal_image(name: &str, seed: u64) -> Vec<u8> {
+    let config = CanaryConfig::with_replication(ReplicationStrategyKind::Dynamic);
+    let mut strategy = CanaryStrategy::new(config);
+    let scenario = chaos::demo_scenario(chaos::named(name).expect("scenario"));
+    let result = scenario.run_observed_with(CANARY, &mut strategy, seed);
+    assert_eq!(result.completed_count(), 24, "{name} seed {seed}");
+    let wal = strategy.db().kv().wal().expect("durability is on");
+    wal.to_bytes()
+}
+
+#[test]
+fn wal_images_match_goldens() {
+    // The log is the control plane's durable state, so its bytes are
+    // pinned like the traces. A controller crash-restart recovers the
+    // group from the log and keeps logging through it, so the crashed
+    // run must leave the same image as the uninterrupted one.
+    for seed in SEEDS {
+        let mixed = wal_image("mixed", seed);
+        check_golden_bytes(&format!("wal_mixed_seed{seed}.bin"), &mixed);
+        assert!(
+            wal_image("controller-crash", seed) == mixed,
+            "seed {seed}: the controller-crash WAL image must equal the mixed one"
+        );
+    }
 }
 
 #[test]
