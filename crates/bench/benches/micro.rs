@@ -1,7 +1,7 @@
 //! Micro-benchmarks of the substrates the simulation is built on.
 
 use bytes::Bytes;
-use canary_kvstore::{KvStore, ReplicatedKv, StoreConfig};
+use canary_kvstore::{ReplicatedKv, StoreConfig};
 use canary_sim::{EventQueue, SimRng, SimTime};
 use canary_workloads::{
     kernels::compression::{rle_compress, rle_decompress},
@@ -61,7 +61,7 @@ fn bench_kvstore(c: &mut Criterion) {
     group.throughput(Throughput::Elements(10_000));
     group.bench_function("put_get_10k", |b| {
         b.iter(|| {
-            let store = KvStore::new(StoreConfig::default());
+            let store = ReplicatedKv::new(1, StoreConfig::default());
             for i in 0..10_000u32 {
                 let key = format!("fn{}/ckpt/{}", i % 100, i);
                 store.put(&key, Bytes::from(vec![0u8; 64])).unwrap();

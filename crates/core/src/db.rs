@@ -931,14 +931,14 @@ impl CanaryDb {
 
     /// Group-commit a checkpoint: the payload put and its
     /// `checkpoint_info` row land in **one** store write batch (one write
-    /// lock per replica, via [`ReplicatedKv::put_batch`]) instead of two
-    /// independent puts. Observationally identical to `put_payload` +
-    /// `put_checkpoint` in that order: same per-table traffic counts,
-    /// same final store contents, byte-identical WAL record stream, same
-    /// write-through cache update — only the lock traffic differs. The
-    /// row must reference `location` (it is stored in the row and used as
-    /// the batch's payload key). The payload handle is stored as-is on
-    /// every replica, never copied.
+    /// lock for the whole replica group, via [`ReplicatedKv::put_batch`])
+    /// instead of two independent puts. Observationally identical to
+    /// `put_payload` + `put_checkpoint` in that order: same per-table
+    /// traffic counts, same final store contents, byte-identical WAL
+    /// record stream, same write-through cache update — only the lock
+    /// traffic differs. The row must reference `location` (it is stored
+    /// in the row and used as the batch's payload key). The payload
+    /// handle is stored as-is, once for every replica, never copied.
     pub fn put_checkpoint_with_payload(
         &self,
         row: &CheckpointInfoRow,

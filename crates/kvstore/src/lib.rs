@@ -4,10 +4,11 @@
 //! Apache Ignite as deployed in the paper (§V-C.1: replicated caching
 //! mode, native persistence enabled). Provides:
 //!
-//! - [`KvStore`]: one ordered `Bytes -> Bytes` map per replica with a
-//!   per-entry size limit (Algorithm 1's `db_limit`),
 //! - [`ReplicatedKv`]: full-copy replication across cluster members with
-//!   crash / resynchronize semantics,
+//!   crash / resynchronize semantics and a per-entry size limit
+//!   (Algorithm 1's `db_limit`). The group is one ordered
+//!   `Bytes -> Bytes` map whose entries record which members hold them,
+//!   so a write or remove is one map operation whatever the member count,
 //! - [`Wal`]: write-ahead log + compacting snapshots behind the replica
 //!   group — the "native persistence" half of the Ignite deployment,
 //!   which lets the control plane recover its metadata after a crash.
@@ -25,5 +26,5 @@ pub mod wal;
 
 pub use error::KvError;
 pub use replicated::{ReplicatedKv, WalRecovery};
-pub use store::{KvStore, StoreConfig};
+pub use store::StoreConfig;
 pub use wal::{SnapshotState, Wal, WalConfig, WalError, WalOp, WalReplay, WalStats};

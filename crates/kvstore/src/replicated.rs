@@ -8,17 +8,26 @@
 //! survivor — which is what lets Canary recover functions after
 //! node-level failures (Fig. 11).
 //!
-//! A write fans one refcounted key/value pair out to every member —
-//! members share the underlying buffers instead of deep-copying per
-//! replica. Membership events (failure, recovery, empty rejoin) bump a
+//! The group is stored as one ordered map, not one map per member: each
+//! entry keeps its value once, with a bitmask of the members that hold
+//! it, beside a live-member mask and a count of the entries each member
+//! holds. Every write and remove reaches all live members and a failing
+//! member is wiped, so members that hold a key hold the same value; they
+//! differ only in which keys they hold after an empty rejoin, and the
+//! holder masks record exactly that. A put or remove is therefore one map
+//! operation under one lock, whatever the member count. Membership events
+//! (failure, recovery, empty rejoin) walk the map once and bump a
 //! [generation counter](ReplicatedKv::generation) so caches layered above
 //! the group can detect that the backing data may have changed under them.
 
 use crate::error::KvError;
-use crate::store::{KvStore, StoreConfig};
+use crate::store::{prefix_upper_bound, StoreConfig};
 use crate::wal::{SnapshotState, Wal, WalConfig, WalError, WalOp};
 use bytes::Bytes;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use parking_lot::RwLock;
+use std::collections::BTreeMap;
+use std::ops::Bound;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// What a crash-restart recovered from the write-ahead log.
@@ -36,11 +45,197 @@ pub struct WalRecovery {
     pub torn_tail: bool,
 }
 
+/// The mask bit of member `m`.
+const fn bit(m: usize) -> u64 {
+    1 << m
+}
+
+/// Member `node` as a log record names it.
+fn member_id(node: usize) -> Result<u32, KvError> {
+    u32::try_from(node).map_err(|_| KvError::UnknownNode { node })
+}
+
+/// The members whose bits are set in `mask`, ascending.
+fn members_of(mut mask: u64) -> impl Iterator<Item = usize> {
+    std::iter::from_fn(move || {
+        (mask != 0).then(|| {
+            let m = mask.trailing_zeros() as usize;
+            mask &= mask - 1;
+            m
+        })
+    })
+}
+
+/// One stored value and the members holding it (bit `m` for member `m`).
+#[derive(Debug)]
+struct Held {
+    value: Bytes,
+    holders: u64,
+}
+
+/// The contents of every member. Each entry's holders are a non-empty
+/// subset of `live` (a member that is down holds nothing), and
+/// `counts[m]` is the number of entries member `m` holds.
+#[derive(Debug)]
+struct Group {
+    map: BTreeMap<Bytes, Held>,
+    live: u64,
+    counts: Vec<usize>,
+}
+
+impl Group {
+    /// A group of `members` live members holding nothing.
+    fn new(members: usize) -> Self {
+        Group {
+            map: BTreeMap::new(),
+            live: u64::MAX >> (64 - members),
+            counts: vec![0; members],
+        }
+    }
+
+    /// The first live member, which serves every read.
+    fn reader(&self) -> Option<usize> {
+        (self.live != 0).then(|| self.live.trailing_zeros() as usize)
+    }
+
+    /// The reader's entry under `key`.
+    fn read(&self, key: &[u8]) -> Option<&Held> {
+        let reader = bit(self.reader()?);
+        self.map.get(key).filter(|h| h.holders & reader != 0)
+    }
+
+    /// The reader's keys in `range`, ascending.
+    fn keys<'a>(
+        &'a self,
+        range: (Bound<&'a [u8]>, Bound<&'a [u8]>),
+    ) -> impl Iterator<Item = &'a Bytes> + 'a {
+        let reader = self.reader().map_or(0, bit);
+        self.map
+            .range::<[u8], _>(range)
+            .filter(move |(_, h)| h.holders & reader != 0)
+            .map(|(k, _)| k)
+    }
+
+    /// The reader's entry count (0 when every member is down).
+    fn len(&self) -> usize {
+        self.reader().map_or(0, |m| self.counts[m])
+    }
+
+    /// Store `value` under `key` on every live member.
+    fn insert(&mut self, key: Bytes, value: Bytes) {
+        let live = self.live;
+        let old = self.map.insert(
+            key,
+            Held {
+                value,
+                holders: live,
+            },
+        );
+        for m in members_of(live & !old.map_or(0, |h| h.holders)) {
+            self.counts[m] += 1;
+        }
+    }
+
+    /// Remove `key` from every member.
+    fn remove(&mut self, key: &[u8]) {
+        if let Some(held) = self.map.remove(key) {
+            for m in members_of(held.holders) {
+                self.counts[m] -= 1;
+            }
+        }
+    }
+
+    /// Crash member `node`: its copy is wiped and it stops serving.
+    fn fail(&mut self, node: usize) {
+        self.wipe(node);
+        self.live &= !bit(node);
+    }
+
+    /// Bring member `node` back with the reader's contents merged into
+    /// its own. Fails, changing nothing, when no donor is live.
+    fn recover(&mut self, node: usize) -> Result<(), KvError> {
+        let donor = self.reader().ok_or(KvError::NoReplicaAvailable)?;
+        let (from, to) = (bit(donor), bit(node));
+        for held in self.map.values_mut() {
+            if held.holders & from != 0 && held.holders & to == 0 {
+                held.holders |= to;
+                self.counts[node] += 1;
+            }
+        }
+        self.live |= to;
+        Ok(())
+    }
+
+    /// Bring member `node` back serving an empty copy.
+    fn rejoin_empty(&mut self, node: usize) {
+        self.wipe(node);
+        self.live |= bit(node);
+    }
+
+    fn wipe(&mut self, node: usize) {
+        if self.counts[node] == 0 {
+            return;
+        }
+        let b = bit(node);
+        self.map.retain(|_, held| {
+            held.holders &= !b;
+            held.holders != 0
+        });
+        self.counts[node] = 0;
+    }
+
+    /// True when every entry is held by every live member.
+    fn consistent(&self) -> bool {
+        self.map.values().all(|h| h.holders == self.live)
+    }
+
+    /// O(members) form of [`Group::consistent`], used by the compaction
+    /// gate so the check is not O(store) on every qualifying append.
+    ///
+    /// Equal counts across live members imply identical contents here
+    /// because live members only diverge through an empty rejoin: from
+    /// then on every put and remove reaches all live members alike, and a
+    /// recovery merges the first live member's full set into the
+    /// recovered one. So for any two live members one's key set is a
+    /// subset of the other's, with equal values on shared keys (one
+    /// stored value per key). A subset of equal size is the whole set —
+    /// count equality is not a heuristic but the full invariant.
+    fn converged(&self) -> bool {
+        let mut counts = members_of(self.live).map(|m| self.counts[m]);
+        let converged = match counts.next() {
+            None => true,
+            Some(first) => counts.all(|c| c == first),
+        };
+        debug_assert_eq!(
+            converged,
+            self.consistent(),
+            "count gate must agree with the full-compare oracle"
+        );
+        converged
+    }
+
+    /// The reader's entries in key order (empty when every member is
+    /// down) — the rows a compacting snapshot stores.
+    fn entries(&self) -> Vec<(Bytes, Bytes)> {
+        let Some(reader) = self.reader() else {
+            return Vec::new();
+        };
+        let mut entries = Vec::with_capacity(self.counts[reader]);
+        entries.extend(
+            self.map
+                .iter()
+                .filter(|(_, h)| h.holders & bit(reader) != 0)
+                .map(|(k, h)| (k.clone(), h.value.clone())),
+        );
+        entries
+    }
+}
+
 /// A KV store replicated across cluster members.
 #[derive(Debug)]
 pub struct ReplicatedKv {
-    members: Vec<KvStore>,
-    alive: Vec<AtomicBool>,
+    group: RwLock<Group>,
+    entry_limit: u64,
     /// Bumped on every membership event that can change the group's
     /// contents out from under a caller (node failure wipes a copy, empty
     /// rejoin loses data, recovery resyncs). Caches keyed on this value
@@ -55,9 +250,10 @@ impl ReplicatedKv {
     /// Create a replica group of `members` full copies (memory-only).
     pub fn new(members: usize, config: StoreConfig) -> Self {
         assert!(members > 0, "replica group needs a member");
+        assert!(members <= 64, "replica group holds at most 64 members");
         ReplicatedKv {
-            members: (0..members).map(|_| KvStore::new(config.clone())).collect(),
-            alive: (0..members).map(|_| AtomicBool::new(true)).collect(),
+            group: RwLock::new(Group::new(members)),
+            entry_limit: config.entry_limit,
             generation: AtomicU64::new(0),
             wal: None,
         }
@@ -92,23 +288,21 @@ impl ReplicatedKv {
 
     /// Number of members (live or not).
     pub fn member_count(&self) -> usize {
-        self.members.len()
+        self.group.read().counts.len()
     }
 
     /// Number of live members.
     pub fn live_count(&self) -> usize {
-        self.alive
-            .iter()
-            .filter(|a| a.load(Ordering::Acquire))
-            .count()
+        self.group.read().live.count_ones() as usize
     }
 
     /// True when member `node` is live.
     pub fn is_live(&self, node: usize) -> Result<bool, KvError> {
-        self.alive
-            .get(node)
-            .map(|a| a.load(Ordering::Acquire))
-            .ok_or(KvError::UnknownNode { node })
+        let group = self.group.read();
+        if node >= group.counts.len() {
+            return Err(KvError::UnknownNode { node });
+        }
+        Ok(group.live & bit(node) != 0)
     }
 
     /// Current membership generation. Moves whenever a node fails,
@@ -121,123 +315,125 @@ impl ReplicatedKv {
         self.generation.fetch_add(1, Ordering::AcqRel);
     }
 
-    fn first_live(&self) -> Option<usize> {
-        self.alive.iter().position(|a| a.load(Ordering::Acquire))
+    /// Fails with [`KvError::EntryTooLarge`] when `value` exceeds the
+    /// entry limit (the caller then spills the data to a storage tier and
+    /// stores a location record instead).
+    fn check_size(&self, value: &Bytes) -> Result<(), KvError> {
+        if value.len() as u64 > self.entry_limit {
+            return Err(KvError::EntryTooLarge {
+                size: value.len() as u64,
+                limit: self.entry_limit,
+            });
+        }
+        Ok(())
     }
 
-    /// Write to every live member. Fails if the value exceeds the entry
-    /// limit or the whole group is down.
-    ///
-    /// The key is materialized once; every member then stores a shallow
-    /// refcounted clone of the same key and value buffers.
+    /// Write to every live member. Fails if the whole group is down or
+    /// the value exceeds the entry limit.
     pub fn put(&self, key: impl AsRef<[u8]>, value: Bytes) -> Result<(), KvError> {
         self.put_shared(Bytes::copy_from_slice(key.as_ref()), value)
     }
 
     /// [`ReplicatedKv::put`] with an already-owned key handle — the
-    /// zero-copy entry point: no key bytes are copied at all, on any
-    /// member.
+    /// zero-copy entry point: the key and value are stored once, as the
+    /// caller's refcounted handles.
     pub fn put_shared(&self, key: Bytes, value: Bytes) -> Result<(), KvError> {
-        let mut wrote = false;
-        for (store, alive) in self.members.iter().zip(&self.alive) {
-            if alive.load(Ordering::Acquire) {
-                store.put_shared(key.clone(), value.clone())?;
-                wrote = true;
-            }
-        }
-        if wrote {
-            self.log_op(&WalOp::Put { key, value });
-            Ok(())
-        } else {
-            Err(KvError::NoReplicaAvailable)
-        }
+        self.commit(&WalOp::Put { key, value })
     }
 
-    /// Group-commit batch write: apply every entry to every live member
-    /// (one write lock per member per batch, via [`KvStore::put_batch`]),
-    /// then log one [`WalOp::Put`] per entry in slice order. The WAL
-    /// record stream is byte-identical to the equivalent sequence of
+    /// Group-commit batch write: apply every entry under one write lock,
+    /// then log one [`WalOp::Put`] per entry in slice order. Entries land
+    /// in slice order (the last write to a key wins) and the WAL record
+    /// stream is byte-identical to the equivalent sequence of
     /// [`ReplicatedKv::put_shared`] calls, so crash replay cannot tell
-    /// batched and unbatched writers apart; the store-side application
-    /// is atomic per member (an oversized value fails the whole batch
-    /// before anything lands).
+    /// batched and unbatched writers apart. A compaction that one of the
+    /// records triggers snapshots the whole batch, which the WAL images
+    /// depend on. The whole batch is validated up front: an oversized
+    /// value fails it before anything lands.
     pub fn put_batch(&self, entries: &[(Bytes, Bytes)]) -> Result<(), KvError> {
-        let mut wrote = false;
-        for (store, alive) in self.members.iter().zip(&self.alive) {
-            if alive.load(Ordering::Acquire) {
-                store.put_batch(entries)?;
-                wrote = true;
-            }
+        let mut group = self.group.write();
+        if group.live == 0 {
+            return Err(KvError::NoReplicaAvailable);
         }
-        if wrote {
-            for (key, value) in entries {
-                self.log_op(&WalOp::Put {
+        for (_, value) in entries {
+            self.check_size(value)?;
+        }
+        for (key, value) in entries {
+            group.insert(key.clone(), value.clone());
+        }
+        for (key, value) in entries {
+            self.log_op(
+                &group,
+                &WalOp::Put {
                     key: key.clone(),
                     value: value.clone(),
-                });
-            }
-            Ok(())
-        } else {
-            Err(KvError::NoReplicaAvailable)
+                },
+            );
         }
+        Ok(())
     }
 
-    /// Read from the first live member.
+    /// Read from the first live member. The lookup borrows the caller's
+    /// bytes — no key allocation.
     pub fn get(&self, key: impl AsRef<[u8]>) -> Result<Bytes, KvError> {
-        let node = self.first_live().ok_or(KvError::NoReplicaAvailable)?;
-        self.members[node].get(key)
+        let key = key.as_ref();
+        let group = self.group.read();
+        if group.live == 0 {
+            return Err(KvError::NoReplicaAvailable);
+        }
+        group
+            .read(key)
+            .map(|h| h.value.clone())
+            .ok_or_else(|| KvError::NotFound {
+                key: String::from_utf8_lossy(key).into_owned(),
+            })
     }
 
     /// Remove from every live member.
     pub fn remove(&self, key: impl AsRef<[u8]>) -> Result<(), KvError> {
-        if self.first_live().is_none() {
-            return Err(KvError::NoReplicaAvailable);
-        }
-        let key = key.as_ref();
-        for (store, alive) in self.members.iter().zip(&self.alive) {
-            if alive.load(Ordering::Acquire) {
-                store.remove(key);
-            }
-        }
-        self.log_op(&WalOp::Remove {
-            key: Bytes::copy_from_slice(key),
-        });
-        Ok(())
+        self.commit(&WalOp::Remove {
+            key: Bytes::copy_from_slice(key.as_ref()),
+        })
     }
 
-    /// True when any live member holds `key`.
+    /// True when the first live member holds `key`.
     pub fn contains(&self, key: impl AsRef<[u8]>) -> bool {
-        self.first_live()
-            .map(|n| self.members[n].contains(key))
-            .unwrap_or(false)
+        self.group.read().read(key.as_ref()).is_some()
     }
 
     /// Keys with prefix (ordered range walk), from the first live member.
     pub fn keys_with_prefix(&self, prefix: impl AsRef<[u8]>) -> Vec<Bytes> {
-        self.first_live()
-            .map(|n| self.members[n].keys_with_prefix(prefix))
-            .unwrap_or_default()
+        let prefix = prefix.as_ref();
+        self.keys_in_range(prefix, prefix_upper_bound(prefix).as_deref())
     }
 
-    /// Full-scan prefix oracle, from the first live member.
+    /// Full-scan prefix query, from the first live member — the
+    /// equivalence oracle for [`ReplicatedKv::keys_with_prefix`]: walks
+    /// every key in order and filters.
     pub fn keys_with_prefix_scan(&self, prefix: impl AsRef<[u8]>) -> Vec<Bytes> {
-        self.first_live()
-            .map(|n| self.members[n].keys_with_prefix_scan(prefix))
-            .unwrap_or_default()
+        let prefix = prefix.as_ref();
+        self.group
+            .read()
+            .keys((Bound::Unbounded, Bound::Unbounded))
+            .filter(|k| k.starts_with(prefix))
+            .cloned()
+            .collect()
     }
 
-    /// Keys in `[lo, hi)`, from the first live member.
+    /// Keys in `[lo, hi)`, ascending, from the first live member: one
+    /// ordered range walk that touches only the keys in range.
     pub fn keys_in_range(&self, lo: &[u8], hi: Option<&[u8]>) -> Vec<Bytes> {
-        self.first_live()
-            .map(|n| self.members[n].keys_in_range(lo, hi))
-            .unwrap_or_default()
+        let upper = hi.map_or(Bound::Unbounded, Bound::Excluded);
+        self.group
+            .read()
+            .keys((Bound::Included(lo), upper))
+            .cloned()
+            .collect()
     }
 
     /// Entry count, from the first live member (0 when all are down).
     pub fn len(&self) -> usize {
-        self.first_live()
-            .map(|n| self.members[n].len())
-            .unwrap_or(0)
+        self.group.read().len()
     }
 
     /// True when no live member holds data.
@@ -248,12 +444,7 @@ impl ReplicatedKv {
     /// Crash member `node`: its copy is wiped (memory is gone) and it
     /// stops serving until [`ReplicatedKv::recover_node`].
     pub fn fail_node(&self, node: usize) -> Result<(), KvError> {
-        let flag = self.alive.get(node).ok_or(KvError::UnknownNode { node })?;
-        flag.store(false, Ordering::Release);
-        self.members[node].clear();
-        self.bump_generation();
-        self.log_op(&WalOp::FailNode(node as u32));
-        Ok(())
+        self.commit(&WalOp::FailNode(member_id(node)?))
     }
 
     /// Rejoin member `node`, resynchronizing its copy from the first live
@@ -261,19 +452,7 @@ impl ReplicatedKv {
     /// the data is lost, and [`ReplicatedKv::rejoin_empty`] is the only
     /// way back.
     pub fn recover_node(&self, node: usize) -> Result<(), KvError> {
-        if node >= self.members.len() {
-            return Err(KvError::UnknownNode { node });
-        }
-        let donor = self.first_live().ok_or(KvError::NoReplicaAvailable)?;
-        if donor != node {
-            for (k, v) in self.members[donor].snapshot() {
-                self.members[node].put_shared(k, v)?;
-            }
-        }
-        self.alive[node].store(true, Ordering::Release);
-        self.bump_generation();
-        self.log_op(&WalOp::RecoverNode(node as u32));
-        Ok(())
+        self.commit(&WalOp::RecoverNode(member_id(node)?))
     }
 
     /// Rejoin member `node` with an *empty* copy, without a donor. This is
@@ -283,11 +462,48 @@ impl ReplicatedKv {
     /// data loss is surfaced to callers as missing keys — Canary's restore
     /// path then falls back to rerun-from-start.
     pub fn rejoin_empty(&self, node: usize) -> Result<(), KvError> {
-        let flag = self.alive.get(node).ok_or(KvError::UnknownNode { node })?;
-        self.members[node].clear();
-        flag.store(true, Ordering::Release);
+        self.commit(&WalOp::RejoinEmpty(member_id(node)?))
+    }
+
+    /// Apply `op` under the write lock, then log it.
+    fn commit(&self, op: &WalOp) -> Result<(), KvError> {
+        let mut group = self.group.write();
+        self.apply(&mut group, op)?;
+        self.log_op(&group, op);
+        Ok(())
+    }
+
+    /// Apply one op to `group` without logging it. Every single put,
+    /// remove and membership change takes effect here, acknowledged or
+    /// replayed; only [`ReplicatedKv::put_batch`] inserts directly, after
+    /// validating the whole batch. Membership changes bump the
+    /// generation. Replay mirrors a historically acknowledged mutation,
+    /// so it ignores the error of an op that cannot recur.
+    fn apply(&self, group: &mut Group, op: &WalOp) -> Result<(), KvError> {
+        let members = group.counts.len();
+        let member = move |n: &u32| {
+            let node = *n as usize;
+            (node < members)
+                .then_some(node)
+                .ok_or(KvError::UnknownNode { node })
+        };
+        match op {
+            WalOp::Put { key, value } => {
+                group.reader().ok_or(KvError::NoReplicaAvailable)?;
+                self.check_size(value)?;
+                group.insert(key.clone(), value.clone());
+                return Ok(());
+            }
+            WalOp::Remove { key } => {
+                group.reader().ok_or(KvError::NoReplicaAvailable)?;
+                group.remove(key);
+                return Ok(());
+            }
+            WalOp::FailNode(n) => group.fail(member(n)?),
+            WalOp::RecoverNode(n) => group.recover(member(n)?)?,
+            WalOp::RejoinEmpty(n) => group.rejoin_empty(member(n)?),
+        }
         self.bump_generation();
-        self.log_op(&WalOp::RejoinEmpty(node as u32));
         Ok(())
     }
 
@@ -300,112 +516,17 @@ impl ReplicatedKv {
     /// member, which would erase that divergence. The log suffix keeps
     /// growing in the meantime and replay reproduces the divergence
     /// op-by-op, so correctness never depends on compacting.
-    fn log_op(&self, op: &WalOp) {
+    fn log_op(&self, group: &Group, op: &WalOp) {
         if let Some(wal) = &self.wal {
             wal.append(op);
-            if wal.wants_snapshot_scaled(self.len() as u64) && self.live_members_converged() {
-                wal.install_snapshot_owned(self.group_snapshot());
-            }
-        }
-    }
-
-    /// Exact O(members) form of [`ReplicatedKv::replicas_consistent`],
-    /// used by the compaction gate so the check is not O(store) on every
-    /// qualifying append.
-    ///
-    /// Equal entry counts across live members imply identical contents
-    /// here because live-member divergence only ever arises from
-    /// [`ReplicatedKv::rejoin_empty`] wiping one member: from that point
-    /// every mutation (`put_shared`, `remove`) fans identically to all
-    /// live members and [`ReplicatedKv::recover_node`] copies a full
-    /// donor, so for any two live members one's key set is a subset of
-    /// the other's (ordered by most-recent wipe time) with equal values
-    /// on shared keys. A subset of equal size is the whole set — length
-    /// equality is therefore not a heuristic but the full invariant.
-    fn live_members_converged(&self) -> bool {
-        let mut lens = self
-            .members
-            .iter()
-            .zip(&self.alive)
-            .filter(|(_, a)| a.load(Ordering::Acquire))
-            .map(|(s, _)| s.len());
-        let converged = match lens.next() {
-            None => true,
-            Some(first) => lens.all(|l| l == first),
-        };
-        debug_assert_eq!(
-            converged,
-            self.replicas_consistent(),
-            "length gate must agree with the full-compare oracle"
-        );
-        converged
-    }
-
-    /// Capture the whole group state for a compacting snapshot: the
-    /// generation, the liveness bitmap, and one live member's contents
-    /// (the caller checks live members are identical; on a total outage
-    /// the contents are empty, which is exactly the state to restore).
-    fn group_snapshot(&self) -> SnapshotState {
-        SnapshotState {
-            generation: self.generation(),
-            alive: self
-                .alive
-                .iter()
-                .map(|a| a.load(Ordering::Acquire))
-                .collect(),
-            entries: self
-                .first_live()
-                .map(|n| self.members[n].snapshot())
-                .unwrap_or_default(),
-        }
-    }
-
-    /// Apply one replayed op without re-logging it. Replay mirrors a
-    /// historically acknowledged mutation, so errors cannot recur; they
-    /// are ignored rather than propagated.
-    fn apply_replayed(&self, op: &WalOp) {
-        match op {
-            WalOp::Put { key, value } => {
-                for (store, alive) in self.members.iter().zip(&self.alive) {
-                    if alive.load(Ordering::Acquire) {
-                        let _ = store.put_shared(key.clone(), value.clone());
-                    }
-                }
-            }
-            WalOp::Remove { key } => {
-                for (store, alive) in self.members.iter().zip(&self.alive) {
-                    if alive.load(Ordering::Acquire) {
-                        store.remove(key);
-                    }
-                }
-            }
-            WalOp::FailNode(n) => {
-                if let Some(flag) = self.alive.get(*n as usize) {
-                    flag.store(false, Ordering::Release);
-                    self.members[*n as usize].clear();
-                    self.bump_generation();
-                }
-            }
-            WalOp::RecoverNode(n) => {
-                let node = *n as usize;
-                if node < self.members.len() {
-                    if let Some(donor) = self.first_live() {
-                        if donor != node {
-                            for (k, v) in self.members[donor].snapshot() {
-                                let _ = self.members[node].put_shared(k, v);
-                            }
-                        }
-                        self.alive[node].store(true, Ordering::Release);
-                        self.bump_generation();
-                    }
-                }
-            }
-            WalOp::RejoinEmpty(n) => {
-                if let Some(flag) = self.alive.get(*n as usize) {
-                    self.members[*n as usize].clear();
-                    flag.store(true, Ordering::Release);
-                    self.bump_generation();
-                }
+            if wal.wants_snapshot_scaled(group.len() as u64) && group.converged() {
+                wal.install_snapshot_owned(SnapshotState {
+                    generation: self.generation(),
+                    alive: (0..group.counts.len())
+                        .map(|m| group.live & bit(m) != 0)
+                        .collect(),
+                    entries: group.entries(),
+                });
             }
         }
     }
@@ -418,27 +539,30 @@ impl ReplicatedKv {
     fn restore_from_wal(&self) -> Result<WalRecovery, WalError> {
         let wal = self.wal.as_ref().expect("restore requires a WAL");
         let replay = wal.replay()?;
-        for member in &self.members {
-            member.clear();
-        }
-        let (base_generation, alive, entries) = match &replay.snapshot {
-            Some(snap) => (snap.generation, snap.alive.clone(), snap.entries.clone()),
-            None => (0, vec![true; self.members.len()], Vec::new()),
+        let mut group = self.group.write();
+        let members = group.counts.len();
+        let mut restored = Group::new(members);
+        let (base_generation, entries) = match &replay.snapshot {
+            Some(snap) => {
+                // A member past the end of the snapshot's liveness bitmap
+                // keeps its current flag.
+                restored.live = group.live;
+                for (m, &alive) in snap.alive.iter().take(members).enumerate() {
+                    restored.live = restored.live & !bit(m) | u64::from(alive) << m;
+                }
+                (snap.generation, snap.entries.as_slice())
+            }
+            None => (0, &[][..]),
         };
         self.generation.store(base_generation, Ordering::Release);
-        for (flag, restored) in self.alive.iter().zip(&alive) {
-            flag.store(*restored, Ordering::Release);
-        }
-        for (member, alive) in self.members.iter().zip(&self.alive) {
-            if alive.load(Ordering::Acquire) {
-                for (k, v) in &entries {
-                    let _ = member.put_shared(k.clone(), v.clone());
-                }
-            }
+        for (key, value) in entries {
+            let (key, value) = (key.clone(), value.clone());
+            let _ = self.apply(&mut restored, &WalOp::Put { key, value });
         }
         for op in &replay.ops {
-            self.apply_replayed(op);
+            let _ = self.apply(&mut restored, op);
         }
+        *group = restored;
         if let Some(torn_at) = replay.torn_at {
             wal.truncate_log_to(torn_at);
         }
@@ -475,10 +599,8 @@ impl ReplicatedKv {
                 self.restore_from_wal()
             }
             None => {
-                for (member, alive) in self.members.iter().zip(&self.alive) {
-                    member.clear();
-                    alive.store(true, Ordering::Release);
-                }
+                let mut group = self.group.write();
+                *group = Group::new(group.counts.len());
                 self.bump_generation();
                 Ok(WalRecovery::default())
             }
@@ -487,21 +609,21 @@ impl ReplicatedKv {
 
     /// Verify all live members hold identical contents (test/debug aid).
     pub fn replicas_consistent(&self) -> bool {
-        let mut snapshots = self
-            .members
-            .iter()
-            .zip(&self.alive)
-            .filter(|(_, a)| a.load(Ordering::Acquire))
-            .map(|(s, _)| s.snapshot());
-        match snapshots.next() {
-            None => true,
-            Some(first) => snapshots.all(|s| s == first),
-        }
+        self.group.read().consistent()
     }
 
+    /// Member `node`'s own copy of `key`, whether or not it is the reader.
     #[cfg(test)]
-    fn member(&self, node: usize) -> &KvStore {
-        &self.members[node]
+    fn member_get(&self, node: usize, key: &str) -> Option<Bytes> {
+        let group = self.group.read();
+        let held = group.map.get(key.as_bytes())?;
+        (held.holders & bit(node) != 0).then(|| held.value.clone())
+    }
+
+    /// Entries member `node` holds.
+    #[cfg(test)]
+    fn member_len(&self, node: usize) -> usize {
+        self.group.read().counts[node]
     }
 }
 
@@ -532,7 +654,7 @@ mod tests {
         // ...and each stored copy is the same underlying allocation as the
         // caller's handle, not a per-replica deep copy.
         for node in 0..3 {
-            let stored = g.member(node).get("k").unwrap();
+            let stored = g.member_get(node, "k").unwrap();
             assert_eq!(stored, value);
             assert_eq!(stored.as_ptr(), value.as_ptr(), "member {node} deep-copied");
         }
@@ -559,7 +681,7 @@ mod tests {
         g.recover_node(1).unwrap();
         assert_eq!(g.live_count(), 3);
         assert!(g.replicas_consistent());
-        assert_eq!(g.member(1).len(), 2);
+        assert_eq!(g.member_len(1), 2);
     }
 
     #[test]
