@@ -13,7 +13,9 @@
 //! and review the golden diff like any other code change.
 
 use canary_core::{CanaryConfig, CanaryStrategy, ReplicationStrategyKind};
-use canary_experiments::{chaos, trace_from_jsonl, trace_to_jsonl, StrategyKind};
+use canary_experiments::{
+    chaos, telemetry_to_jsonl, trace_from_jsonl, trace_to_jsonl, StrategyKind,
+};
 use canary_platform::{RunResult, TraceKind};
 use std::path::PathBuf;
 
@@ -73,6 +75,12 @@ fn mixed_chaos_traces_match_goldens_for_pinned_seeds() {
             &format!("chaos_mixed_seed{seed}.jsonl"),
             &trace_to_jsonl(&result.trace),
         );
+        if seed == 42 {
+            check_golden(
+                "telemetry_mixed_seed42.txt",
+                &telemetry_to_jsonl(&result.telemetry),
+            );
+        }
     }
 }
 
@@ -124,6 +132,10 @@ fn controller_crash_trace_matches_golden() {
     check_golden(
         "chaos_controller_crash_seed42.jsonl",
         &trace_to_jsonl(&result.trace),
+    );
+    check_golden(
+        "telemetry_controller_crash_seed42.txt",
+        &telemetry_to_jsonl(&result.telemetry),
     );
 }
 

@@ -7,7 +7,8 @@
 //! 2. never resurrect a checkpoint the corruption oracle condemned —
 //!    every planned migration resumes from a checkpoint that is never
 //!    reported corrupted anywhere in the run, and
-//! 3. reproduce the committed seed-42 golden byte-for-byte.
+//! 3. reproduce the committed seed-42 goldens (trace and telemetry
+//!    export) byte-for-byte.
 //!
 //! When a deliberate engine or chaos change moves the trace, re-bless
 //! with:
@@ -19,7 +20,7 @@
 //! and review the golden diff like any other code change.
 
 use canary_core::ReplicationStrategyKind;
-use canary_experiments::{chaos, trace_to_jsonl, StrategyKind};
+use canary_experiments::{chaos, telemetry_to_jsonl, trace_to_jsonl, StrategyKind};
 use canary_platform::{RunResult, TraceKind};
 use std::collections::HashSet;
 use std::path::PathBuf;
@@ -136,6 +137,10 @@ fn migration_trace_matches_golden_for_seed_42() {
     check_golden(
         "chaos_migration_seed42.jsonl",
         &trace_to_jsonl(&result.trace),
+    );
+    check_golden(
+        "telemetry_migration_seed42.txt",
+        &telemetry_to_jsonl(&result.telemetry),
     );
 }
 

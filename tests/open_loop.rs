@@ -8,12 +8,13 @@
 //! the run nothing is left in the queue or in transit. Admission is
 //! strictly FIFO, so under sustained overload no job starves. And the
 //! whole open-loop pipeline stays deterministic: the same seed replays a
-//! byte-identical trace, pinned by a committed golden.
+//! byte-identical trace, pinned by a committed golden (with its
+//! telemetry export).
 
 use canary_cluster::{ChaosSpec, DegradeSpec, PartitionSpec, StoreOutageSpec};
 use canary_core::ReplicationStrategyKind;
 use canary_experiments::load::open_loop_jobs;
-use canary_experiments::{trace_to_jsonl, Scenario, StrategyKind};
+use canary_experiments::{telemetry_to_jsonl, trace_to_jsonl, Scenario, StrategyKind};
 use canary_platform::{JobId, RunResult, Trace, TraceKind};
 use std::path::PathBuf;
 
@@ -279,4 +280,8 @@ fn open_loop_trace_matches_golden() {
     let r = golden_run();
     assert_eq!(r.completed_count(), 8);
     check_golden("open_loop_seed42.jsonl", &trace_to_jsonl(&r.trace));
+    check_golden(
+        "telemetry_open_loop_seed42.txt",
+        &telemetry_to_jsonl(&r.telemetry),
+    );
 }
