@@ -1,7 +1,7 @@
-//! Quick-mode scheduler-bench runner: measures the three scheduler
-//! queries (indexed vs pre-refactor scan) at 100/1k/10k containers plus
-//! an end-to-end fig12-shaped run, and writes `BENCH_engine.json` so CI
-//! and future PRs have a perf trajectory without a full criterion run.
+//! Scheduler-bench runner: measures the three scheduler queries (indexed
+//! vs pre-refactor scan) at 100/1k/10k containers plus an end-to-end
+//! fig12-shaped run, and writes `BENCH_engine.json` so CI and future PRs
+//! have a perf trajectory.
 //!
 //! Also measures the observability tax: the same run unobserved vs fully
 //! instrumented (trace + telemetry + causal links + hot-path profiler),

@@ -1,29 +1,15 @@
 //! # canary-bench
 //!
-//! Criterion benchmarks for the Canary reproduction:
+//! Host-performance runners for the Canary reproduction:
 //!
-//! - `figures` — one benchmark per paper figure (Figs. 4–12), timing the
-//!   scenario that regenerates it (shrunken so a full `cargo bench`
-//!   stays tractable),
-//! - `micro` — micro-benchmarks of the substrates (event queue, PRNG,
-//!   KV store, checkpoint codec, compression and BFS kernels),
-//! - `ablations` — the design-choice ablations called out in DESIGN.md
-//!   (checkpoint mode, window size, storage tier, replication policy),
-//! - `scheduler` — the engine's three scheduler queries, indexed vs the
-//!   pre-refactor naive scans, at 100/1k/10k containers.
+//! - `bench_engine` measures the engine's three scheduler queries,
+//!   indexed vs the pre-refactor naive scans, at 100/1k/10k containers,
+//!   plus the observability tax, and writes `BENCH_engine.json` (the CI
+//!   `bench-smoke` artifact);
+//! - `bench_scale` runs the scale tiers and writes `BENCH_scale.json`
+//!   (the CI `scale-smoke` artifact).
 //!
-//! Run with `cargo bench -p canary-bench`. The `bench_engine` binary
-//! runs the scheduler comparison in quick mode and writes
-//! `BENCH_engine.json` (the CI `bench-smoke` artifact).
+//! [`scheduler`] builds the registries and platforms `bench_engine`
+//! measures.
 
 pub mod scheduler;
-
-/// Standard small figure options used by the figure benchmarks: a single
-/// repetition at reduced scale, so one bench iteration is one full
-/// deterministic simulation.
-pub fn bench_options() -> canary_experiments::FigureOptions {
-    canary_experiments::FigureOptions {
-        reps: 1,
-        scale: 0.1,
-    }
-}

@@ -1,9 +1,8 @@
 //! Harness for the scheduler-query benchmarks.
 //!
 //! Builds registries and platforms of controlled size and exposes the
-//! three scheduler queries in their indexed and naive-scan forms, so the
-//! criterion bench (`benches/scheduler.rs`) and the `bench_engine` quick
-//! runner measure exactly the same routines. The `*_scan` oracles are the
+//! three scheduler queries in their indexed and naive-scan forms, which
+//! the `bench_engine` runner measures. The `*_scan` oracles are the
 //! pre-refactor implementations, kept precisely so this comparison stays
 //! honest as the indexes evolve.
 
