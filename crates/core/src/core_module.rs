@@ -9,8 +9,9 @@
 //!
 //! Every decision is observable: validator verdicts, checkpoint writes
 //! and restores, recovery plans (with their detect/restore split), and
-//! replica-pool churn are emitted to the opt-in trace and measured in the
-//! telemetry layer, at zero cost when observability is disabled.
+//! replica-pool churn go through `Platform::emit`, which counts each one
+//! and appends it to the opt-in trace, and their latencies are measured
+//! in the telemetry layer, at zero cost when observability is disabled.
 
 use crate::checkpoint::CheckpointingModule;
 use crate::config::CanaryConfig;
@@ -22,8 +23,8 @@ use crate::validator::{Admission, PlatformLimits, RequestValidator};
 use canary_cluster::{CpuClass, FaultEvent, NodeId};
 use canary_container::ContainerId;
 use canary_platform::{
-    ArrivalVerdict, Counter, FailureInfo, FailureKind, FnId, FtStrategy, JobId, Phase, Platform,
-    RecoveryPlan, RecoveryTarget, TraceKind,
+    ArrivalVerdict, FailureInfo, FailureKind, FnId, FtStrategy, JobId, Phase, Platform,
+    RecoveryPlan, RecoveryTarget, StoreStats, TraceKind,
 };
 use canary_sim::{SimDuration, SimTime};
 use canary_workloads::RuntimeKind;
@@ -61,13 +62,6 @@ fn over_network(
     } else {
         duration
     }
-}
-
-/// Record a recovery that falls back past the newest checkpoint.
-fn note_fallback(platform: &mut Platform, event: TraceKind) {
-    platform.emit(event);
-    platform.counters_mut().restore_fallbacks += 1;
-    platform.telemetry_mut().incr(Counter::RestoreFallbacks);
 }
 
 /// Canary, assembled.
@@ -199,25 +193,24 @@ impl CanaryStrategy {
             if lookup.had_checkpoints {
                 // Every retained checkpoint was corrupted or its row
                 // lost to a store outage: rerun from the start.
-                note_fallback(platform, TraceKind::RestoreFallback { fn_id, state: 0 });
+                platform.emit(TraceKind::RestoreFallback { fn_id, state: 0 });
             }
             return (0, SimDuration::ZERO);
         };
         let duration = over_network(platform, failure, info.duration, info.bytes);
         if !lookup.corrupted.is_empty() {
             let state = info.resume_from_state;
-            note_fallback(platform, TraceKind::RestoreFallback { fn_id, state });
+            platform.emit(TraceKind::RestoreFallback { fn_id, state });
         }
-        platform.note_restore();
         platform.emit(TraceKind::CheckpointRestored {
             fn_id,
             state: info.resume_from_state,
             bytes: info.bytes,
             tier: info.tier,
         });
-        let tel = platform.telemetry_mut();
-        tel.observe(Phase::CheckpointRestore, duration);
-        tel.incr(Counter::CheckpointsRestored);
+        platform
+            .telemetry_mut()
+            .observe(Phase::CheckpointRestore, duration);
         (info.resume_from_state, duration)
     }
 
@@ -231,7 +224,6 @@ impl CanaryStrategy {
     fn note_corrupted(&mut self, platform: &mut Platform, fn_id: FnId, corrupted: &[u64]) {
         for &ckpt_id in corrupted {
             platform.emit(TraceKind::CheckpointCorrupted { fn_id, ckpt_id });
-            platform.telemetry_mut().incr(Counter::CheckpointsCorrupted);
             let count = self.checkpointing.chunk_count(fn_id.0, ckpt_id);
             if let Some(idx) = platform.chaos().corrupted_chunk(fn_id.0, ckpt_id, count) {
                 self.checkpointing.corrupt_ckpt_chunk(fn_id.0, ckpt_id, idx);
@@ -264,7 +256,7 @@ impl CanaryStrategy {
         self.note_corrupted(platform, fn_id, &lookup.corrupted);
         let Some(info) = lookup.info else {
             if lookup.had_checkpoints {
-                note_fallback(platform, TraceKind::MigrationFallback { fn_id });
+                platform.emit(TraceKind::MigrationFallback { fn_id });
             }
             return RecoveryPlan {
                 resume_from_state: 0,
@@ -275,7 +267,6 @@ impl CanaryStrategy {
             };
         };
         let duration = over_network(platform, failure, info.duration, info.bytes);
-        platform.note_restore();
         platform.emit(TraceKind::MigrationPlanned {
             fn_id,
             container,
@@ -283,14 +274,9 @@ impl CanaryStrategy {
             chunks: info.chunks,
             bytes: info.bytes,
         });
-        let counters = platform.counters_mut();
-        counters.migrations += 1;
-        counters.chunks_migrated += info.chunks as u64;
-        let tel = platform.telemetry_mut();
-        tel.observe(Phase::CheckpointRestore, duration);
-        tel.incr(Counter::CheckpointsRestored);
-        tel.incr(Counter::Migrations);
-        tel.add(Counter::ChunksMigrated, info.chunks as u64);
+        platform
+            .telemetry_mut()
+            .observe(Phase::CheckpointRestore, duration);
         RecoveryPlan {
             resume_from_state: info.resume_from_state,
             delay: detect + migrate + duration,
@@ -315,12 +301,6 @@ impl CanaryStrategy {
                 spawned: spawned as u32,
                 reclaimed: reclaimed as u32,
             });
-        }
-        if spawned > 0 {
-            platform.counters_mut().replicas_refreshed += spawned as u64;
-            platform
-                .telemetry_mut()
-                .add(Counter::ReplicasRefreshed, spawned as u64);
         }
     }
 }
@@ -440,11 +420,8 @@ impl FtStrategy for CanaryStrategy {
                 fn_id,
                 state: state_idx,
             });
-            platform.counters_mut().checkpoints_skipped += 1;
-            platform.telemetry_mut().incr(Counter::CheckpointsSkipped);
             return;
         }
-        platform.note_checkpoint(effective);
         let cost = self.checkpointing.write_cost(state.ckpt_bytes);
         // The write cost rides the trace only under causal observation,
         // keeping the pre-causal trace bytes untouched; blame extraction
@@ -461,9 +438,9 @@ impl FtStrategy for CanaryStrategy {
             tier,
             cost: traced_cost,
         });
-        let tel = platform.telemetry_mut();
-        tel.observe(Phase::CheckpointWrite, cost);
-        tel.incr(Counter::CheckpointsWritten);
+        platform
+            .telemetry_mut()
+            .observe(Phase::CheckpointWrite, cost);
     }
 
     fn on_failure(
@@ -590,12 +567,6 @@ impl FtStrategy for CanaryStrategy {
                             replayed: recovery.replayed_records,
                             torn: recovery.torn_tail,
                         });
-                        let counters = platform.counters_mut();
-                        counters.wal_records_replayed += recovery.replayed_records;
-                        counters.wal_torn_tails += recovery.torn_tail as u64;
-                        platform
-                            .telemetry_mut()
-                            .add(Counter::WalRecordsReplayed, recovery.replayed_records);
                     }
                     Err(e) => {
                         // Corrupt WAL: recovery already fell back to an
@@ -652,18 +623,20 @@ impl FtStrategy for CanaryStrategy {
                 platform.reclaim_container(container);
             }
         }
-        // Export the metadata database's per-table traffic into the run's
-        // telemetry snapshot.
+        // Export the metadata database's per-table traffic and the store
+        // totals into the run's telemetry snapshot.
         let stats = self.db().table_stats();
         let (cache_hits, cache_misses) = self.db().cache_stats();
+        let chunk = self.checkpointing.chunk_stats();
         let tel = platform.telemetry_mut();
         for (table, reads, writes) in stats {
             tel.set_table_stats(table, reads, writes);
         }
-        tel.add(Counter::DbCacheHits, cache_hits);
-        tel.add(Counter::DbCacheMisses, cache_misses);
-        let chunk = self.checkpointing.chunk_stats();
-        tel.add(Counter::ChunksWritten, chunk.written);
-        tel.add(Counter::ChunksDeduped, chunk.deduped);
+        tel.set_store_stats(StoreStats {
+            cache_hits,
+            cache_misses,
+            chunks_written: chunk.written,
+            chunks_deduped: chunk.deduped,
+        });
     }
 }

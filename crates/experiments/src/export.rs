@@ -421,11 +421,10 @@ pub fn telemetry_to_jsonl(snap: &TelemetrySnapshot) -> String {
             p.max.as_micros(),
         );
     }
-    for (c, v) in &snap.counters {
+    for (label, v) in &snap.counters {
         let _ = writeln!(
             out,
-            "{{\"record\":\"counter\",\"counter\":\"{}\",\"value\":{v}}}",
-            c.label()
+            "{{\"record\":\"counter\",\"counter\":\"{label}\",\"value\":{v}}}"
         );
     }
     for t in &snap.tables {
@@ -1068,14 +1067,18 @@ mod tests {
 
     #[test]
     fn telemetry_jsonl_has_meta_phase_counter_and_table_lines() {
-        use canary_platform::{Counter, Phase, Telemetry};
+        use canary_platform::{Counts, Phase, StoreStats, Telemetry};
         let mut tel = Telemetry::new(true);
         tel.observe(Phase::CheckpointWrite, SimDuration::from_micros(250));
-        tel.incr(Counter::CheckpointsWritten);
-        tel.add(Counter::DbCacheHits, 40);
-        tel.add(Counter::DbCacheMisses, 10);
+        tel.set_store_stats(StoreStats {
+            cache_hits: 40,
+            cache_misses: 10,
+            ..StoreStats::default()
+        });
         tel.set_table_stats("worker_info", 1, 16);
-        let jsonl = telemetry_to_jsonl(&tel.snapshot());
+        let mut counts = Counts::default();
+        counts.run.checkpoints_written = 1;
+        let jsonl = telemetry_to_jsonl(&tel.snapshot(&counts));
         let lines: Vec<&str> = jsonl.lines().collect();
         assert_eq!(lines.len(), 6);
         assert!(lines[0].contains("\"record\":\"meta\"") && lines[0].contains("true"));
@@ -1083,7 +1086,7 @@ mod tests {
         assert!(lines[1].contains("\"count\":1"));
         assert!(lines[2].contains("\"counter\":\"checkpoints_written\""));
         // The db row-cache counters export under their stable labels, in
-        // Counter::ALL order after the pre-existing counters.
+        // the registry's row order after the pre-existing counters.
         assert!(lines[3].contains("\"counter\":\"db_cache_hit\"") && lines[3].contains(":40"));
         assert!(lines[4].contains("\"counter\":\"db_cache_miss\"") && lines[4].contains(":10"));
         assert!(lines[5].contains("\"table\":\"worker_info\""));

@@ -1,7 +1,7 @@
 //! Figure rendering: ASCII tables, CSV, and Markdown for EXPERIMENTS.md,
 //! plus the per-run telemetry summary table.
 
-use canary_platform::{Counter, HotPathProfile, RunCounters, TelemetrySnapshot};
+use canary_platform::{HotPathProfile, RunCounters, TelemetrySnapshot};
 use canary_sim::SeriesSet;
 use std::fmt::Write as _;
 
@@ -199,8 +199,8 @@ pub fn telemetry_summary(snap: &TelemetrySnapshot) -> String {
     }
     if !snap.counters.is_empty() {
         let _ = writeln!(out, "  counters:");
-        for (c, v) in &snap.counters {
-            let _ = writeln!(out, "    {:<22} {v}", c.label());
+        for (label, v) in &snap.counters {
+            let _ = writeln!(out, "    {label:<22} {v}");
         }
     }
     if !snap.tables.is_empty() {
@@ -221,8 +221,8 @@ pub fn telemetry_summary(snap: &TelemetrySnapshot) -> String {
             "    {:<22} {:>10} {:>10}",
             "metadata ops", reads, writes
         );
-        let hits = snap.counter(Counter::DbCacheHits);
-        let misses = snap.counter(Counter::DbCacheMisses);
+        let hits = snap.counter("db_cache_hit");
+        let misses = snap.counter("db_cache_miss");
         if hits + misses > 0 {
             let _ = writeln!(
                 out,
@@ -329,18 +329,22 @@ mod tests {
 
     #[test]
     fn telemetry_summary_renders_phases_counters_and_tables() {
-        use canary_platform::{Counter, Phase, Telemetry};
+        use canary_platform::{Counts, Phase, StoreStats, Telemetry};
         use canary_sim::{SimDuration, SimTime};
         let mut tel = Telemetry::new(true);
         tel.span_start(Phase::RecoveryE2E, 1, SimTime::ZERO);
         tel.span_end(Phase::RecoveryE2E, 1, SimTime::from_micros(750_000));
         tel.observe(Phase::CheckpointWrite, SimDuration::from_millis(20));
-        tel.incr(Counter::CheckpointsWritten);
         tel.set_table_stats("job_info", 3, 5);
         tel.set_table_stats("function_info", 7, 2);
-        tel.add(Counter::DbCacheHits, 8);
-        tel.add(Counter::DbCacheMisses, 2);
-        let text = telemetry_summary(&tel.snapshot());
+        tel.set_store_stats(StoreStats {
+            cache_hits: 8,
+            cache_misses: 2,
+            ..StoreStats::default()
+        });
+        let mut counts = Counts::default();
+        counts.run.checkpoints_written = 1;
+        let text = telemetry_summary(&tel.snapshot(&counts));
         for needle in [
             "telemetry summary",
             "recovery_e2e",

@@ -1,12 +1,13 @@
 //! Run outcomes and cost-relevant accounting: per-function and per-job
-//! outcomes, container billing records, the [`RunCounters`] tally
-//! (failures, recoveries, checkpoint and replica-pool activity), and the
-//! complete [`RunResult`] including the optional trace and telemetry.
+//! outcomes, container billing records, the run's counter registry
+//! ([`Counts`]), and the complete [`RunResult`] including the optional
+//! trace and telemetry.
 
 use crate::ids::{FnId, JobId};
 use crate::profile::HotPathProfile;
+use crate::strategy::RecoveryTarget;
 use crate::telemetry::TelemetrySnapshot;
-use crate::trace::Trace;
+use crate::trace::{Trace, TraceKind};
 use canary_container::ContainerPurpose;
 use canary_sim::{SimDuration, SimTime};
 use serde::{Deserialize, Serialize};
@@ -146,7 +147,7 @@ pub struct RunCounters {
     pub wal_torn_tails: u64,
     /// Events dequeued and dispatched by the run loop. The honest
     /// denominator for events/s and allocs/event throughput claims —
-    /// counted in the loop itself, with or without tracing.
+    /// counted at dispatch, with or without tracing.
     #[serde(default)]
     pub events_dispatched: u64,
     /// Node-crash recoveries resolved by live migration to a warm
@@ -156,6 +157,91 @@ pub struct RunCounters {
     /// Chunks shipped to warm replicas by those migrations (the deltas).
     #[serde(default)]
     pub chunks_migrated: u64,
+}
+
+/// The run's one counter registry: [`RunCounters`] plus three counts only
+/// telemetry reports. `Platform::emit` folds every event into it through
+/// [`Counts::record`], traced or not, so [`counters_from_trace`] rebuilds
+/// every count except the four with no trace event, which the engine
+/// increments directly: `containers_created` (function and standby
+/// containers emit nothing), `placement_retries`, `chaos_events` (a node
+/// burst on a node already down emits nothing) and `events_dispatched`.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Counts {
+    /// The run counters carried in [`RunResult::counters`].
+    pub run: RunCounters,
+    /// Jobs released from the admission queue.
+    pub jobs_dequeued: u64,
+    /// Replicated-store members rejoined after an outage.
+    pub store_rejoins: u64,
+    /// Retained checkpoints found corrupted during restore probing.
+    pub checkpoints_corrupted: u64,
+}
+
+impl Counts {
+    /// Fold one event into the counts: the rule for which event moves
+    /// which count.
+    pub fn record(&mut self, kind: &TraceKind) {
+        let c = &mut self.run;
+        match *kind {
+            TraceKind::AttemptFailed { .. } => c.function_failures += 1,
+            TraceKind::NodeFailed { .. } => c.node_failures += 1,
+            TraceKind::RecoveryPlanned { target, .. } => match target {
+                RecoveryTarget::FreshContainer => c.cold_recoveries += 1,
+                RecoveryTarget::WarmContainer(_) => c.warm_recoveries += 1,
+            },
+            TraceKind::CheckpointWritten { bytes, .. } => {
+                c.checkpoints_written += 1;
+                c.checkpoint_bytes += bytes;
+            }
+            TraceKind::CheckpointRestored { .. } => c.restores += 1,
+            TraceKind::MigrationPlanned { chunks, .. } => {
+                c.restores += 1;
+                c.migrations += 1;
+                c.chunks_migrated += u64::from(chunks);
+            }
+            TraceKind::JobQueued { .. } => c.jobs_queued += 1,
+            TraceKind::JobDequeued { .. } => self.jobs_dequeued += 1,
+            TraceKind::JobRejected { .. } => c.jobs_rejected += 1,
+            TraceKind::ReplicaConsumed { .. } => c.replicas_consumed += 1,
+            TraceKind::ReplicaRefreshed { spawned, .. } => {
+                c.replicas_refreshed += u64::from(spawned)
+            }
+            TraceKind::StoreOutage { .. } => c.store_outages += 1,
+            TraceKind::StoreRejoined { .. } => self.store_rejoins += 1,
+            TraceKind::StragglerInjected { .. } => c.stragglers_injected += 1,
+            TraceKind::CheckpointCorrupted { .. } => self.checkpoints_corrupted += 1,
+            TraceKind::CheckpointSkipped { .. } => c.checkpoints_skipped += 1,
+            TraceKind::RestoreFallback { .. } | TraceKind::MigrationFallback { .. } => {
+                c.restore_fallbacks += 1
+            }
+            TraceKind::ControllerCrashed => c.controller_crashes += 1,
+            TraceKind::ControllerRecovered { replayed, torn, .. } => {
+                c.wal_records_replayed += replayed;
+                c.wal_torn_tails += u64::from(torn);
+            }
+            TraceKind::JobArrived { .. }
+            | TraceKind::JobSubmitted { .. }
+            | TraceKind::AttemptStarted { .. }
+            | TraceKind::FunctionCompleted { .. }
+            | TraceKind::WarmPoolSpawned { .. }
+            | TraceKind::WarmPoolReady { .. }
+            | TraceKind::PartitionStarted { .. }
+            | TraceKind::PartitionHealed { .. }
+            | TraceKind::NetworkDegraded { .. }
+            | TraceKind::NetworkRestored => {}
+        }
+    }
+}
+
+/// [`Counts::record`] folded over a recorded trace: the run's own counts,
+/// with the four untraced ones left zero.
+pub fn counters_from_trace(trace: &Trace) -> Counts {
+    let mut counts = Counts::default();
+    for e in &trace.events {
+        counts.record(&e.kind);
+    }
+    counts
 }
 
 /// The complete result of one simulated run.

@@ -45,7 +45,7 @@ pub struct RunConfig {
     /// Record an execution trace into the result (off by default; traces
     /// of large batches are big).
     pub trace: bool,
-    /// Record phase latency histograms and typed counters into the
+    /// Record phase latency histograms and counter rows into the
     /// result (off by default). Telemetry observes simulation time only
     /// and never perturbs the simulated timeline: a run with telemetry
     /// on produces the same outcomes as the same run with it off.

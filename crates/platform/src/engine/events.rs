@@ -111,6 +111,7 @@ impl Event {
 impl Platform {
     /// Route one popped event to its handler.
     pub(super) fn dispatch(&mut self, strategy: &mut dyn FtStrategy, ev: Event) {
+        self.counts.run.events_dispatched += 1;
         match ev {
             Event::JobArrival { job } => self.handle_job_arrival(strategy, job),
             Event::SubmitJob { job } => self.handle_submit(strategy, job),

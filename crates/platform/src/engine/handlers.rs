@@ -11,7 +11,7 @@ use crate::job::{FnStatus, PlannedAttempt};
 use crate::strategy::{
     ArrivalVerdict, FailureInfo, FailureKind, FtStrategy, RecoveryPlan, RecoveryTarget,
 };
-use crate::telemetry::{Counter, Phase};
+use crate::telemetry::Phase;
 use crate::trace::TraceKind;
 use canary_cluster::{FaultEvent, NodeId};
 use canary_container::{ContainerId, ContainerState, PlacementError};
@@ -72,7 +72,6 @@ impl Platform {
                 terminated: SimTime::MAX,
             },
         );
-        self.counters.containers_created += 1;
         // Containers hosting functions go straight through their startup
         // phases; the timeline is folded into the exec start.
         for s in [
@@ -327,8 +326,6 @@ impl Platform {
                 fn_id.0 | ((clone_idx as u64) << 48)
             };
             if let Some(factor) = self.chaos.straggler(oracle_fn, attempt - 1) {
-                self.counters.stragglers_injected += 1;
-                self.telemetry.incr(Counter::StragglersInjected);
                 self.emit(TraceKind::StragglerInjected {
                     fn_id,
                     attempt,
@@ -359,7 +356,6 @@ impl Platform {
             detect: plan.detect,
             restore: plan.restore,
         });
-        self.telemetry.incr(Counter::RecoveriesPlanned);
         if let RecoveryTarget::WarmContainer(_) = plan.target {
             self.telemetry.span_start(Phase::WarmResume, fn_id.0, now);
         }
@@ -368,7 +364,6 @@ impl Platform {
         self.set_fn_status(fn_id, FnStatus::Recovering);
         match plan.target {
             RecoveryTarget::FreshContainer => {
-                self.counters.cold_recoveries += 1;
                 self.schedule(
                     now + plan.delay,
                     Event::Launch {
@@ -378,7 +373,6 @@ impl Platform {
                 );
             }
             RecoveryTarget::WarmContainer(container) => {
-                self.counters.warm_recoveries += 1;
                 self.schedule(
                     now + plan.delay,
                     Event::WarmResume {
@@ -433,7 +427,6 @@ impl Platform {
             self.durable_scratch = durable;
         }
 
-        self.counters.function_failures += 1;
         self.emit(TraceKind::AttemptFailed {
             fn_id,
             attempt: plan.attempt,
@@ -547,7 +540,6 @@ impl Platform {
             strategy.on_function_complete(self, fn_id);
             self.drain_admissions();
         } else {
-            self.counters.function_failures += 1;
             self.emit(TraceKind::AttemptFailed {
                 fn_id,
                 attempt,
@@ -647,7 +639,7 @@ impl Platform {
                             .expect("rollback");
                         self.finish_usage(ctr, now);
                     }
-                    self.counters.placement_retries += 1;
+                    self.counts.run.placement_retries += 1;
                     assert!(
                         self.config.cluster.ids().any(|n| self.registry.node_up(n)),
                         "every node is down; the run cannot make progress"
@@ -709,8 +701,6 @@ impl Platform {
             .transition(container, ContainerState::Executing)
             .expect("warm to executing");
         self.emit(TraceKind::ReplicaConsumed { container, fn_id });
-        self.counters.replicas_consumed += 1;
-        self.telemetry.incr(Counter::ReplicasConsumed);
         let node = self.registry.get(container).expect("live container").node;
         self.begin_attempt(strategy, fn_id, &[(container, node, now)], from_state, true);
     }
@@ -720,7 +710,6 @@ impl Platform {
             return;
         }
         let now = self.now();
-        self.counters.node_failures += 1;
         self.emit(TraceKind::NodeFailed { node });
         let victims = self.registry.fail_node(node);
         self.coldstart.invalidate_node(node);
@@ -760,8 +749,8 @@ impl Platform {
 
     pub(super) fn handle_chaos(&mut self, strategy: &mut dyn FtStrategy, idx: usize) {
         let fault = self.chaos.events()[idx].1;
-        self.counters.chaos_events += 1;
-        self.telemetry.incr(Counter::ChaosFaults);
+        // Counted here: a burst on a node already down emits nothing.
+        self.counts.run.chaos_events += 1;
         match fault {
             FaultEvent::PartitionStart { a, b } => {
                 self.emit(TraceKind::PartitionStarted { a, b });
@@ -778,12 +767,9 @@ impl Platform {
                 self.emit(TraceKind::NetworkRestored);
             }
             FaultEvent::StoreDown { member } => {
-                self.counters.store_outages += 1;
-                self.telemetry.incr(Counter::StoreOutages);
                 self.emit(TraceKind::StoreOutage { member });
             }
             FaultEvent::StoreRejoin { member } => {
-                self.telemetry.incr(Counter::StoreRejoins);
                 self.emit(TraceKind::StoreRejoined { member });
             }
             FaultEvent::NodeBurst { node } => {
@@ -797,8 +783,6 @@ impl Platform {
                 // WAL recovery in its `on_chaos` hook. The engine's own
                 // state — the event queue and the admission FIFO — is
                 // *not* part of the crashing process and survives.
-                self.counters.controller_crashes += 1;
-                self.telemetry.incr(Counter::ControllerCrashes);
                 self.emit(TraceKind::ControllerCrashed);
             }
         }
@@ -864,7 +848,6 @@ impl Platform {
             }
             self.admission_queue.pop_front();
             self.emit(TraceKind::JobDequeued { job });
-            self.telemetry.incr(Counter::JobsDequeued);
             self.admit_job(job);
         }
     }
@@ -887,8 +870,6 @@ impl Platform {
             .is_some_and(|cap| invocations > cap);
         if verdict == ArrivalVerdict::Reject || impossible {
             self.jobs[job.0 as usize].rejected = true;
-            self.counters.jobs_rejected += 1;
-            self.telemetry.incr(Counter::JobsRejected);
             self.emit(TraceKind::JobRejected { job });
             return;
         }
@@ -899,8 +880,6 @@ impl Platform {
             self.admit_job(job);
         } else {
             self.admission_queue.push_back(job);
-            self.counters.jobs_queued += 1;
-            self.telemetry.incr(Counter::JobsQueued);
             self.emit(TraceKind::JobQueued { job });
         }
     }

@@ -17,7 +17,7 @@
 //!
 //! - [`mod@self`] — the [`Platform`] state, the [`run`]/[`try_run`] loop,
 //!   and the strategy-facing *mutators* (replica/standby creation,
-//!   counters, telemetry, trace emission),
+//!   telemetry, event emission, which also moves the counters),
 //! - [`setup`](self) — batch validation ([`RunConfigError`]) and job /
 //!   node-failure / chaos registration,
 //! - `events` — the [`Event`] enum and its dispatch table,
@@ -42,7 +42,7 @@ pub use setup::{validate_batch, RunConfigError};
 #[doc(hidden)]
 pub use setup::bench_platform;
 
-use crate::accounting::{ContainerUsage, FnOutcome, JobOutcome, RunCounters, RunResult};
+use crate::accounting::{ContainerUsage, Counts, FnOutcome, JobOutcome, RunResult};
 use crate::config::RunConfig;
 use crate::ids::{FnId, JobId};
 use crate::job::{FnRecord, FnStatus, JobRecord, JobSpec};
@@ -81,7 +81,9 @@ pub struct Platform {
     /// container ever created, pushed in id order).
     usage: Vec<ContainerUsage>,
     controller_free: SimTime,
-    counters: RunCounters,
+    /// The run's one counter registry; [`Platform::emit`] moves every
+    /// traced count.
+    counts: Counts,
     /// Jobs waiting on each job's completion (workflow chaining).
     dependents: Vec<Vec<JobId>>,
     /// FIFO admission queue: arrived jobs held until the concurrency
@@ -145,7 +147,7 @@ impl Platform {
             jobs: Vec::new(),
             usage: Vec::new(),
             controller_free: SimTime::ZERO,
-            counters: RunCounters::default(),
+            counts: Counts::default(),
             dependents: Vec::new(),
             admission_queue: std::collections::VecDeque::new(),
             pending_launches: std::collections::VecDeque::new(),
@@ -204,7 +206,6 @@ impl Platform {
                 terminated: SimTime::MAX,
             },
         );
-        self.counters.containers_created += 1;
         self.emit(TraceKind::WarmPoolSpawned {
             container: id,
             node,
@@ -247,7 +248,6 @@ impl Platform {
                 terminated: SimTime::MAX,
             },
         );
-        self.counters.containers_created += 1;
         self.telemetry
             .span_start(Phase::ReplicaColdStart, id.0, now);
         self.registry
@@ -277,39 +277,24 @@ impl Platform {
         &mut self.strategy_rng
     }
 
-    /// Record a checkpoint write (counters only; the strategy owns the
-    /// actual store).
-    pub fn note_checkpoint(&mut self, bytes: u64) {
-        self.counters.checkpoints_written += 1;
-        self.counters.checkpoint_bytes += bytes;
-    }
-
-    /// Record a restore.
-    pub fn note_restore(&mut self) {
-        self.counters.restores += 1;
-    }
-
-    /// Mutable run counters, for strategy-side accounting (validator
-    /// queueing, replica pool refreshes).
-    pub fn counters_mut(&mut self) -> &mut RunCounters {
-        &mut self.counters
-    }
-
     /// The run's telemetry recorder; strategies observe their phase
-    /// latencies and counters through this. Every call is a no-op when
-    /// `RunConfig::telemetry` is off.
+    /// latencies and report store totals through this. Every call is a
+    /// no-op when `RunConfig::telemetry` is off.
     pub fn telemetry_mut(&mut self) -> &mut Telemetry {
         &mut self.telemetry
     }
 
-    /// Append an event to the execution trace (no-op unless
-    /// `RunConfig::trace` is on). Strategies use this for events only
-    /// they can see, like checkpoint writes and validator decisions.
+    /// Record an event: fold it into the run's counters
+    /// ([`Counts::record`]), then append it to the execution trace (that
+    /// part is a no-op unless `RunConfig::trace` is on). This is the only
+    /// place a traced count moves, so strategies emit events only they
+    /// can see, like checkpoint writes and restores, through here.
     ///
     /// Returns the event's span id — [`SpanId::NONE`] unless
     /// [`RunConfig::causal`] assigned one — so emit sites can thread a
     /// cause into later events.
     pub fn emit(&mut self, kind: TraceKind) -> SpanId {
+        self.counts.record(&kind);
         if !self.config.trace {
             return SpanId::NONE;
         }
@@ -351,8 +336,9 @@ impl Platform {
         }
     }
 
-    /// Record a fresh container's usage row. Container ids are handed out
-    /// densely by the registry, so usage is a plain vector push.
+    /// Record a fresh container's usage row and count it. Container ids
+    /// are handed out densely by the registry, so usage is a plain vector
+    /// push.
     fn push_usage(&mut self, id: ContainerId, usage: ContainerUsage) {
         debug_assert_eq!(
             id.0 as usize,
@@ -360,6 +346,7 @@ impl Platform {
             "usage rows must stay in step with dense container ids"
         );
         self.usage.push(usage);
+        self.counts.run.containers_created += 1;
     }
 
     fn finish_usage(&mut self, id: ContainerId, at: SimTime) {
@@ -444,13 +431,11 @@ pub fn try_run(
             let wall_ns = started.elapsed().as_nanos() as u64;
             let allocs = crate::profile::alloc_count().saturating_sub(allocs_before);
             p.profiler.record(kind, wall_ns, allocs);
-            p.counters.events_dispatched += 1;
         }
     } else {
         while let Some((_, handle)) = p.queue.pop() {
             let ev = p.pool.take(handle);
             p.dispatch(strategy, ev);
-            p.counters.events_dispatched += 1;
         }
     }
     debug_assert_eq!(p.pool.len(), 0, "event pool leaked entries at run end");
@@ -533,10 +518,10 @@ pub fn try_run(
         fns,
         jobs: jobs_out,
         containers,
-        counters: p.counters,
+        counters: p.counts.run,
         finished_at,
         trace: p.trace,
-        telemetry: p.telemetry.snapshot(),
+        telemetry: p.telemetry.snapshot(&p.counts),
         profile,
     })
 }

@@ -13,7 +13,6 @@ use crate::accounting::RunCounters;
 use crate::config::RunConfig;
 use crate::ids::{FnId, JobId};
 use crate::job::{FnRecord, FnStatus, JobRecord};
-use crate::telemetry::Telemetry;
 use canary_cluster::{ChaosPlan, NodeId};
 use canary_container::{Container, ContainerId};
 use canary_sim::SimTime;
@@ -125,11 +124,6 @@ impl Platform {
 
     /// Run counters so far.
     pub fn counters(&self) -> &RunCounters {
-        &self.counters
-    }
-
-    /// The run's telemetry recorder (read side).
-    pub fn telemetry(&self) -> &Telemetry {
-        &self.telemetry
+        &self.counts.run
     }
 }

@@ -13,11 +13,11 @@
 //!
 //! Observability is opt-in and read-only: [`RunConfig::trace`] records the
 //! event-by-event execution [`trace`], [`RunConfig::telemetry`] collects
-//! per-phase latency histograms and typed counters ([`telemetry`]),
-//! [`RunConfig::causal`] threads span/parent/cause links through the trace
-//! at emit time, [`RunConfig::profile`] measures the engine's own hot path
-//! ([`profile`]), and all of it lands in the [`RunResult`] without
-//! affecting the simulation.
+//! per-phase latency histograms and exports the run's counters
+//! ([`telemetry`]), [`RunConfig::causal`] threads span/parent/cause links
+//! through the trace at emit time, [`RunConfig::profile`] measures the
+//! engine's own hot path ([`profile`]), and all of it lands in the
+//! [`RunResult`] without affecting the simulation.
 
 pub mod accounting;
 pub mod config;
@@ -30,7 +30,9 @@ pub mod strategy;
 pub mod telemetry;
 pub mod trace;
 
-pub use accounting::{ContainerUsage, FnOutcome, JobOutcome, RunCounters, RunResult};
+pub use accounting::{
+    counters_from_trace, ContainerUsage, Counts, FnOutcome, JobOutcome, RunCounters, RunResult,
+};
 pub use config::RunConfig;
 pub use engine::{run, try_run, validate_batch, Event, Platform, RunConfigError, StateTiming};
 pub use ids::{FnId, JobId};
@@ -41,6 +43,6 @@ pub use strategy::{
     ArrivalVerdict, FailureInfo, FailureKind, FtStrategy, RecoveryPlan, RecoveryTarget,
 };
 pub use telemetry::{
-    Counter, Histogram, Phase, PhaseSummary, TableStats, Telemetry, TelemetrySnapshot,
+    Histogram, Phase, PhaseSummary, StoreStats, TableStats, Telemetry, TelemetrySnapshot,
 };
 pub use trace::{SpanId, Trace, TraceEvent, TraceKind};

@@ -1,11 +1,12 @@
-//! Run telemetry: phase latency histograms and typed counters.
+//! Run telemetry: phase latency histograms and counter rows.
 //!
 //! An opt-in observability layer alongside [`crate::trace`]. Where a
 //! trace records *what happened* as an ordered event log, telemetry
 //! aggregates *how long things took*: fixed-bucket latency histograms
-//! per instrumented [`Phase`] plus typed counters, all keyed on
-//! simulation time — no wall clocks, so enabling telemetry never
-//! perturbs the simulated timeline.
+//! per instrumented [`Phase`], all keyed on simulation time — no wall
+//! clocks, so enabling telemetry never perturbs the simulated timeline.
+//! Its counter rows are not counted here: the snapshot reads them from
+//! the run's one counter registry ([`Counts`]) at run end.
 //!
 //! Zero-cost when disabled: every recording method first checks the
 //! `enabled` flag set from [`crate::RunConfig::telemetry`] and returns
@@ -18,6 +19,7 @@
 //! directly through [`Telemetry::observe`] (for phases whose duration is
 //! known analytically, e.g. a checkpoint write cost).
 
+use crate::accounting::Counts;
 use canary_sim::{SimDuration, SimTime};
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, HashMap};
@@ -72,122 +74,49 @@ impl fmt::Display for Phase {
     }
 }
 
-/// Typed telemetry counters (strategy- and engine-side occurrence
-/// counts that complement the latency histograms).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
-pub enum Counter {
-    /// Checkpoints written by the strategy.
-    CheckpointsWritten,
-    /// Checkpoints restored on the recovery path.
-    CheckpointsRestored,
-    /// Jobs the validator parked in its admission queue.
-    JobsQueued,
-    /// Jobs the validator released from the queue.
-    JobsDequeued,
-    /// Jobs the validator rejected outright.
-    JobsRejected,
-    /// Warm replicas consumed by recoveries.
-    ReplicasConsumed,
-    /// Replicas re-spawned by pool reconciliation after a loss.
-    ReplicasRefreshed,
-    /// Recovery plans issued by the strategy.
-    RecoveriesPlanned,
-    /// Chaos fault events dispatched by the engine (all classes).
-    ChaosFaults,
-    /// Replicated-store member outages injected.
-    StoreOutages,
-    /// Replicated-store members rejoined after an outage.
-    StoreRejoins,
-    /// Attempts slowed down by an injected straggler fault.
-    StragglersInjected,
-    /// Retained checkpoints found corrupted during restore probing.
-    CheckpointsCorrupted,
-    /// Checkpoint writes dropped because the store was unavailable.
-    CheckpointsSkipped,
-    /// Restores that fell back past the newest checkpoint.
-    RestoreFallbacks,
-    /// Metadata reads served from the db row cache (decode skipped).
-    DbCacheHits,
-    /// Metadata reads that went through to the store and decoded a row.
-    DbCacheMisses,
-    /// Control-plane crash-restarts injected by chaos.
-    ControllerCrashes,
-    /// WAL records replayed across all controller recoveries.
-    WalRecordsReplayed,
-    /// Chunk bodies physically stored by the content-addressed
-    /// checkpoint path (first reference).
-    ChunksWritten,
+/// Store totals a strategy reports once at run end, beside the counter
+/// registry's rows (they have no trace event).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct StoreStats {
+    /// Metadata reads served from the db row cache.
+    pub cache_hits: u64,
+    /// Metadata reads that decoded a row from the store.
+    pub cache_misses: u64,
+    /// Chunk bodies stored on first reference.
+    pub chunks_written: u64,
     /// Chunk references satisfied by an already-stored body.
-    ChunksDeduped,
-    /// Chunks shipped to warm replicas by live migrations (the deltas).
-    ChunksMigrated,
-    /// Node-crash recoveries resolved by live migration to a warm
-    /// replica instead of rerun-from-checkpoint.
-    Migrations,
+    pub chunks_deduped: u64,
 }
 
-impl Counter {
-    /// All counters in display order.
-    pub const ALL: [Counter; 23] = [
-        Counter::CheckpointsWritten,
-        Counter::CheckpointsRestored,
-        Counter::JobsQueued,
-        Counter::JobsDequeued,
-        Counter::JobsRejected,
-        Counter::ReplicasConsumed,
-        Counter::ReplicasRefreshed,
-        Counter::RecoveriesPlanned,
-        Counter::ChaosFaults,
-        Counter::StoreOutages,
-        Counter::StoreRejoins,
-        Counter::StragglersInjected,
-        Counter::CheckpointsCorrupted,
-        Counter::CheckpointsSkipped,
-        Counter::RestoreFallbacks,
-        Counter::DbCacheHits,
-        Counter::DbCacheMisses,
-        Counter::ControllerCrashes,
-        Counter::WalRecordsReplayed,
-        Counter::ChunksWritten,
-        Counter::ChunksDeduped,
-        Counter::ChunksMigrated,
-        Counter::Migrations,
-    ];
-
-    /// Stable label used in reports and JSONL export.
-    pub fn label(self) -> &'static str {
-        match self {
-            Counter::CheckpointsWritten => "checkpoints_written",
-            Counter::CheckpointsRestored => "checkpoints_restored",
-            Counter::JobsQueued => "jobs_queued",
-            Counter::JobsDequeued => "jobs_dequeued",
-            Counter::JobsRejected => "jobs_rejected",
-            Counter::ReplicasConsumed => "replicas_consumed",
-            Counter::ReplicasRefreshed => "replicas_refreshed",
-            Counter::RecoveriesPlanned => "recoveries_planned",
-            Counter::ChaosFaults => "chaos_faults",
-            Counter::StoreOutages => "store_outages",
-            Counter::StoreRejoins => "store_rejoins",
-            Counter::StragglersInjected => "stragglers_injected",
-            Counter::CheckpointsCorrupted => "checkpoints_corrupted",
-            Counter::CheckpointsSkipped => "checkpoints_skipped",
-            Counter::RestoreFallbacks => "restore_fallbacks",
-            Counter::DbCacheHits => "db_cache_hit",
-            Counter::DbCacheMisses => "db_cache_miss",
-            Counter::ControllerCrashes => "controller_crashes",
-            Counter::WalRecordsReplayed => "wal_records_replayed",
-            Counter::ChunksWritten => "chunks_written",
-            Counter::ChunksDeduped => "chunks_deduped",
-            Counter::ChunksMigrated => "chunks_migrated",
-            Counter::Migrations => "migrations",
-        }
-    }
-}
-
-impl fmt::Display for Counter {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.label())
-    }
+/// The telemetry counter rows in export order: each stable label with its
+/// value, read from the run's counter registry and the store totals.
+fn counter_rows(c: &Counts, store: &StoreStats) -> [(&'static str, u64); 23] {
+    let r = &c.run;
+    [
+        ("checkpoints_written", r.checkpoints_written),
+        ("checkpoints_restored", r.restores),
+        ("jobs_queued", r.jobs_queued),
+        ("jobs_dequeued", c.jobs_dequeued),
+        ("jobs_rejected", r.jobs_rejected),
+        ("replicas_consumed", r.replicas_consumed),
+        ("replicas_refreshed", r.replicas_refreshed),
+        ("recoveries_planned", r.warm_recoveries + r.cold_recoveries),
+        ("chaos_faults", r.chaos_events),
+        ("store_outages", r.store_outages),
+        ("store_rejoins", c.store_rejoins),
+        ("stragglers_injected", r.stragglers_injected),
+        ("checkpoints_corrupted", c.checkpoints_corrupted),
+        ("checkpoints_skipped", r.checkpoints_skipped),
+        ("restore_fallbacks", r.restore_fallbacks),
+        ("db_cache_hit", store.cache_hits),
+        ("db_cache_miss", store.cache_misses),
+        ("controller_crashes", r.controller_crashes),
+        ("wal_records_replayed", r.wal_records_replayed),
+        ("chunks_written", store.chunks_written),
+        ("chunks_deduped", store.chunks_deduped),
+        ("chunks_migrated", r.chunks_migrated),
+        ("migrations", r.migrations),
+    ]
 }
 
 /// Number of log2 buckets: bucket `i` holds durations in
@@ -337,8 +266,9 @@ pub struct TelemetrySnapshot {
     /// One summary per phase with at least one sample, in
     /// [`Phase::ALL`] order.
     pub phases: Vec<PhaseSummary>,
-    /// Non-zero counters in [`Counter::ALL`] order.
-    pub counters: Vec<(Counter, u64)>,
+    /// Non-zero counter rows as `(label, value)`, in the registry's
+    /// fixed export order.
+    pub counters: Vec<(String, u64)>,
     /// Per-table database traffic (Canary runs only), by table name.
     pub tables: Vec<TableStats>,
     /// Spans still open when the snapshot was taken — starts that never
@@ -354,13 +284,12 @@ impl TelemetrySnapshot {
         self.phases.iter().find(|p| p.phase == phase)
     }
 
-    /// Counter value (0 when never incremented).
-    pub fn counter(&self, counter: Counter) -> u64 {
+    /// Counter value by label (0 when the row is absent).
+    pub fn counter(&self, label: &str) -> u64 {
         self.counters
             .iter()
-            .find(|(c, _)| *c == counter)
-            .map(|&(_, v)| v)
-            .unwrap_or(0)
+            .find(|(l, _)| l == label)
+            .map_or(0, |&(_, v)| v)
     }
 }
 
@@ -372,7 +301,8 @@ impl TelemetrySnapshot {
 pub struct Telemetry {
     enabled: bool,
     histograms: BTreeMap<Phase, Histogram>,
-    counters: BTreeMap<Counter, u64>,
+    /// Store totals reported at run end.
+    store: StoreStats,
     /// Table traffic keyed by interned name — the recording path never
     /// allocates a `String` after a table's first report; the text is
     /// resolved from `names` only when a snapshot is exported.
@@ -396,19 +326,6 @@ impl Telemetry {
     /// Is recording active?
     pub fn enabled(&self) -> bool {
         self.enabled
-    }
-
-    /// Increment a counter by one.
-    pub fn incr(&mut self, counter: Counter) {
-        self.add(counter, 1);
-    }
-
-    /// Increment a counter by `n`.
-    pub fn add(&mut self, counter: Counter, n: u64) {
-        if !self.enabled || n == 0 {
-            return;
-        }
-        *self.counters.entry(counter).or_insert(0) += n;
     }
 
     /// Record a latency sample whose duration is known directly.
@@ -466,18 +383,22 @@ impl Telemetry {
         self.tables.insert(sym, (reads, writes));
     }
 
+    /// Report the store totals (overwrites any previous report).
+    pub fn set_store_stats(&mut self, stats: StoreStats) {
+        if !self.enabled {
+            return;
+        }
+        self.store = stats;
+    }
+
     /// Live histogram for a phase, if any samples were recorded.
     pub fn histogram(&self, phase: Phase) -> Option<&Histogram> {
         self.histograms.get(&phase)
     }
 
-    /// Live counter value.
-    pub fn counter(&self, counter: Counter) -> u64 {
-        self.counters.get(&counter).copied().unwrap_or(0)
-    }
-
-    /// Export an immutable snapshot (deterministic ordering).
-    pub fn snapshot(&self) -> TelemetrySnapshot {
+    /// Export an immutable snapshot (deterministic ordering), reading the
+    /// counter rows from the run's counter registry `counts`.
+    pub fn snapshot(&self, counts: &Counts) -> TelemetrySnapshot {
         let phases = Phase::ALL
             .iter()
             .filter_map(|&phase| {
@@ -497,13 +418,15 @@ impl Telemetry {
                 })
             })
             .collect();
-        let counters = Counter::ALL
-            .iter()
-            .filter_map(|&c| {
-                let v = self.counter(c);
-                (v > 0).then_some((c, v))
-            })
-            .collect();
+        let counters = if self.enabled {
+            counter_rows(counts, &self.store)
+                .into_iter()
+                .filter(|&(_, v)| v > 0)
+                .map(|(label, v)| (label.to_string(), v))
+                .collect()
+        } else {
+            Vec::new()
+        };
         // Resolve interned names back to text, sorted by name so the
         // export order is independent of interning order.
         let mut tables: Vec<TableStats> = self
@@ -541,12 +464,17 @@ mod tests {
     #[test]
     fn disabled_records_nothing() {
         let mut tel = Telemetry::new(false);
-        tel.incr(Counter::JobsQueued);
+        let mut counts = Counts::default();
+        counts.run.jobs_queued = 1;
         tel.observe(Phase::Admission, d(5));
         tel.span_start(Phase::RecoveryE2E, 1, t(0));
         tel.span_end(Phase::RecoveryE2E, 1, t(100));
         tel.set_table_stats("jobs", 1, 2);
-        let snap = tel.snapshot();
+        tel.set_store_stats(StoreStats {
+            cache_hits: 1,
+            ..StoreStats::default()
+        });
+        let snap = tel.snapshot(&counts);
         assert!(!snap.enabled);
         assert!(snap.phases.is_empty());
         assert!(snap.counters.is_empty());
@@ -607,18 +535,29 @@ mod tests {
         let mut tel = Telemetry::new(true);
         tel.observe(Phase::RecoveryE2E, d(10));
         tel.observe(Phase::Admission, d(5));
-        tel.incr(Counter::ReplicasConsumed);
-        tel.add(Counter::JobsQueued, 3);
-        tel.add(Counter::JobsRejected, 0); // no-op
+        let mut counts = Counts::default();
+        counts.run.replicas_consumed = 1;
+        counts.run.jobs_queued = 3;
+        counts.run.warm_recoveries = 2;
+        counts.run.cold_recoveries = 1;
         tel.set_table_stats("functions", 4, 9);
-        let snap = tel.snapshot();
+        let snap = tel.snapshot(&counts);
         // Phase::ALL order: Admission before RecoveryE2E.
         assert_eq!(snap.phases.len(), 2);
         assert_eq!(snap.phases[0].phase, Phase::Admission);
         assert_eq!(snap.phases[1].phase, Phase::RecoveryE2E);
-        assert_eq!(snap.counter(Counter::JobsQueued), 3);
-        assert_eq!(snap.counter(Counter::ReplicasConsumed), 1);
-        assert_eq!(snap.counter(Counter::JobsRejected), 0);
+        // Export order, zero rows dropped, planned = warm + cold.
+        let rows: Vec<(&str, u64)> = snap.counters.iter().map(|(l, v)| (&l[..], *v)).collect();
+        assert_eq!(
+            rows,
+            [
+                ("jobs_queued", 3),
+                ("replicas_consumed", 1),
+                ("recoveries_planned", 3)
+            ]
+        );
+        assert_eq!(snap.counter("jobs_queued"), 3);
+        assert_eq!(snap.counter("jobs_rejected"), 0);
         assert_eq!(snap.tables.len(), 1);
         assert_eq!(snap.tables[0].table, "functions");
         assert_eq!(snap.tables[0].writes, 9);

@@ -19,6 +19,8 @@ use canary_experiments::{
 use canary_platform::{RunResult, TraceKind};
 use std::path::PathBuf;
 
+mod common;
+
 const CANARY: StrategyKind = StrategyKind::Canary(ReplicationStrategyKind::Dynamic);
 
 /// The pinned seeds; CI's chaos-smoke job runs the same three.
@@ -71,6 +73,7 @@ fn mixed_chaos_traces_match_goldens_for_pinned_seeds() {
             24,
             "seed {seed}: every function must survive the mixed fault plan"
         );
+        common::assert_counts_fold_from_trace(&result);
         check_golden(
             &format!("chaos_mixed_seed{seed}.jsonl"),
             &trace_to_jsonl(&result.trace),
@@ -129,6 +132,7 @@ fn controller_crash_trace_matches_golden() {
         1
     );
     assert!(result.counters.wal_records_replayed > 0);
+    common::assert_counts_fold_from_trace(&result);
     check_golden(
         "chaos_controller_crash_seed42.jsonl",
         &trace_to_jsonl(&result.trace),

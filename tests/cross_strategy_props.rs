@@ -8,6 +8,8 @@ use canary_platform::{JobSpec, TraceKind};
 use canary_workloads::WorkloadSpec;
 use proptest::prelude::*;
 
+mod common;
+
 fn scenario(rate: f64, invocations: u32) -> Scenario {
     Scenario::chameleon(
         rate,
@@ -213,5 +215,21 @@ proptest! {
         let a = trace_to_jsonl(&s.run_observed(kind, seed).trace);
         let b = trace_to_jsonl(&s.run_observed(kind, seed).trace);
         prop_assert_eq!(a, b);
+    }
+
+    /// Counts never drift from the trace: under an arbitrary fault plan,
+    /// every strategy's traced counters are a fold over its trace.
+    #[test]
+    fn counters_are_a_fold_over_the_trace(spec in chaos_spec(), seed in 0u64..500) {
+        let s = chaos_scenario(0.25, 15, spec);
+        for kind in [
+            StrategyKind::Retry,
+            StrategyKind::Canary(ReplicationStrategyKind::Dynamic),
+            StrategyKind::CanaryMigrate,
+            StrategyKind::RequestReplication(2),
+            StrategyKind::ActiveStandby,
+        ] {
+            common::assert_counts_fold_from_trace(&s.run_observed(kind, seed));
+        }
     }
 }

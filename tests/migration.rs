@@ -25,6 +25,8 @@ use canary_platform::{RunResult, TraceKind};
 use std::collections::HashSet;
 use std::path::PathBuf;
 
+mod common;
+
 const CANARY: StrategyKind = StrategyKind::Canary(ReplicationStrategyKind::Dynamic);
 const MIGRATE: StrategyKind = StrategyKind::CanaryMigrate;
 
@@ -134,6 +136,7 @@ fn migration_never_resurrects_a_corrupted_checkpoint() {
 fn migration_trace_matches_golden_for_seed_42() {
     let result = migration_run(MIGRATE, 42);
     assert_eq!(result.completed_count(), 24);
+    common::assert_counts_fold_from_trace(&result);
     check_golden(
         "chaos_migration_seed42.jsonl",
         &trace_to_jsonl(&result.trace),

@@ -18,6 +18,8 @@ use canary_experiments::{telemetry_to_jsonl, trace_to_jsonl, Scenario, StrategyK
 use canary_platform::{JobId, RunResult, Trace, TraceKind};
 use std::path::PathBuf;
 
+mod common;
+
 const CANARY: StrategyKind = StrategyKind::Canary(ReplicationStrategyKind::Dynamic);
 
 /// An open-loop scenario: `n` single-invocation web-service jobs offered
@@ -279,6 +281,7 @@ fn golden_run() -> RunResult {
 fn open_loop_trace_matches_golden() {
     let r = golden_run();
     assert_eq!(r.completed_count(), 8);
+    common::assert_counts_fold_from_trace(&r);
     check_golden("open_loop_seed42.jsonl", &trace_to_jsonl(&r.trace));
     check_golden(
         "telemetry_open_loop_seed42.txt",
