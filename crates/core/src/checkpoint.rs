@@ -26,7 +26,7 @@
 
 use crate::chunk::{
     decode_manifest, encode_manifest_into, fnv1a64, hash_chunks_into, restore_from_manifest,
-    sequence_digest, ChunkStats, ChunkStore, ManifestError, PARALLEL_HASH_THRESHOLD,
+    sequence_digest, ChunkStats, ChunkStore, ManifestError,
 };
 use crate::config::{CanaryConfig, CheckpointMode};
 use crate::db::{payload_location, spill_location, CanaryDb, CheckpointInfoRow, DbError};
@@ -401,17 +401,11 @@ impl CheckpointingModule {
         let (stored, hashes) = if self.options.blob_oracle {
             (Bytes::clone(&payload), Vec::new())
         } else {
-            // Hash every chunk window up front — fanned out over worker
-            // threads for multi-MiB payloads — into a pooled hash vector,
+            // Hash every chunk window up front into a pooled hash vector,
             // and delta-encode the manifest against the newest retained
             // checkpoint.
-            let workers = if payload.len() >= PARALLEL_HASH_THRESHOLD {
-                std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
-            } else {
-                1
-            };
             let mut hashes = self.hash_pool.pop().unwrap_or_default();
-            hash_chunks_into(&payload, chunk, workers, &mut hashes);
+            hash_chunks_into(&payload, chunk, 1, &mut hashes);
             let base = f.retained.back().map(|r| (r.ckpt_id, r.hashes.as_slice()));
             encode_manifest_into(
                 ckpt_id,

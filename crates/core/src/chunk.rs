@@ -165,8 +165,8 @@ impl ChunkStore {
     }
 
     /// [`Self::insert`] with the hash already computed (the record path
-    /// hashes all chunks up front — in parallel for large payloads — so
-    /// the store must not hash a second time). Returns `newly_stored`.
+    /// hashes all chunks up front, so the store must not hash a second
+    /// time). Returns `newly_stored`.
     pub fn insert_hashed(&mut self, hash: u64, body: Bytes) -> bool {
         debug_assert_eq!(fnv1a64(&body), hash, "precomputed chunk hash mismatch");
         match self.chunks.get_mut(&hash) {
@@ -469,48 +469,14 @@ pub fn encode_manifest_into(
     }
 }
 
-/// Payload size at which the record path asks [`hash_chunks_into`] for
-/// more than one worker. Below it the serial loop wins: the engine's
-/// synthetic state images are a few hundred bytes and spawning threads
-/// for them would dwarf the hashing itself.
-pub const PARALLEL_HASH_THRESHOLD: usize = 4 << 20;
-
 /// Hash every `chunk_size` window of `payload` into `out` (cleared
-/// first), fanning out over up to `workers` scoped threads. Each slot
-/// of `out` is indexed by chunk position, so the hash sequence is
-/// identical for every worker count — the parallel-map shape of
-/// `canary_experiments::parallel_map`, specialized to borrow the
-/// payload instead of moving owned items. Callers pick the worker
-/// count; the checkpoint path stays serial below
-/// [`PARALLEL_HASH_THRESHOLD`].
-pub fn hash_chunks_into(payload: &[u8], chunk_size: usize, workers: usize, out: &mut Vec<u64>) {
+/// first), one slot per chunk position; the last window may be short.
+/// Hashing is serial: `workers` is ignored, and stays in the signature
+/// only because the benchmark package's layer replay passes it.
+pub fn hash_chunks_into(payload: &[u8], chunk_size: usize, _workers: usize, out: &mut Vec<u64>) {
     assert!(chunk_size > 0, "chunk size must be positive");
     out.clear();
-    let n = payload.len().div_ceil(chunk_size);
-    out.resize(n, 0);
-    let workers = workers.clamp(1, n.max(1));
-    let hash_at = |i: usize| {
-        let start = i * chunk_size;
-        let end = (start + chunk_size).min(payload.len());
-        fnv1a64(&payload[start..end])
-    };
-    if workers <= 1 {
-        for (i, slot) in out.iter_mut().enumerate() {
-            *slot = hash_at(i);
-        }
-        return;
-    }
-    let stripe = n.div_ceil(workers);
-    std::thread::scope(|scope| {
-        for (w, slots) in out.chunks_mut(stripe).enumerate() {
-            let hash_at = &hash_at;
-            scope.spawn(move || {
-                for (j, slot) in slots.iter_mut().enumerate() {
-                    *slot = hash_at(w * stripe + j);
-                }
-            });
-        }
-    });
+    out.extend(payload.chunks(chunk_size).map(fnv1a64));
 }
 
 /// Decode a wire manifest. `resolve_base` maps a base checkpoint id to

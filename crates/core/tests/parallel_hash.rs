@@ -1,13 +1,11 @@
-//! Tests for parallel chunk hashing ([`canary_core::chunk::hash_chunks_into`]).
+//! Tests for chunk hashing ([`canary_core::chunk::hash_chunks_into`]).
 //!
-//! The checkpoint record path fans chunk hashing out over scoped worker
-//! threads for payloads above `PARALLEL_HASH_THRESHOLD`. Correctness
-//! requires the hash *sequence* to be a pure function of the payload and
-//! chunk size — never of the worker count, stripe boundaries, or
-//! scheduling order — because those hashes feed the content-addressed
-//! store, the delta-manifest encoder, and the manifest sequence digest.
+//! Correctness requires the hash *sequence* to be a pure function of the
+//! payload and chunk size — never of the (ignored) worker count —
+//! because those hashes feed the content-addressed store, the
+//! delta-manifest encoder, and the manifest sequence digest.
 
-use canary_core::chunk::{fnv1a64, hash_chunks_into, sequence_digest, PARALLEL_HASH_THRESHOLD};
+use canary_core::chunk::{fnv1a64, hash_chunks_into, sequence_digest};
 use proptest::prelude::*;
 
 /// The obviously-correct serial oracle: hash each window with the same
@@ -41,9 +39,8 @@ fn single_chunk_matches_serial() {
 
 #[test]
 fn multi_mib_payload_is_identical_across_worker_counts() {
-    // Larger than PARALLEL_HASH_THRESHOLD so this exercises the exact
-    // shape the record path uses for big state images.
-    let len = PARALLEL_HASH_THRESHOLD + (3 << 20) + 17;
+    // A multi-MiB state image with a ragged tail chunk.
+    let len = (4 << 20) + (3 << 20) + 17;
     let payload: Vec<u8> = (0..len).map(|i| (i * 31 + i / 251) as u8).collect();
     let expect = serial_hashes(&payload, 64 << 10);
     assert!(expect.len() > 100);
