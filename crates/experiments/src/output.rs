@@ -15,21 +15,27 @@ pub fn emit(name: &str, sets: &[SeriesSet]) -> std::io::Result<Vec<PathBuf>> {
     emit_to(Path::new(RESULTS_DIR), name, sets)
 }
 
+/// The file stem of set `index` of the `count` sets emitted as `name`:
+/// `name` itself for a single set, else `name_a`, `name_b`, ...
+pub fn set_stem(name: &str, index: usize, count: usize) -> String {
+    if count > 1 {
+        format!("{name}_{}", (b'a' + index as u8) as char)
+    } else {
+        name.to_string()
+    }
+}
+
 /// As [`emit`] but into an explicit directory (used by tests).
 pub fn emit_to(dir: &Path, name: &str, sets: &[SeriesSet]) -> std::io::Result<Vec<PathBuf>> {
     fs::create_dir_all(dir)?;
     let mut written = Vec::new();
     for (i, set) in sets.iter().enumerate() {
         println!("{}", ascii_table(set));
-        let suffix = if sets.len() > 1 {
-            format!("_{}", (b'a' + i as u8) as char)
-        } else {
-            String::new()
-        };
-        let csv_path = dir.join(format!("{name}{suffix}.csv"));
+        let stem = set_stem(name, i, sets.len());
+        let csv_path = dir.join(format!("{stem}.csv"));
         fs::write(&csv_path, csv(set))?;
         written.push(csv_path);
-        let md_path = dir.join(format!("{name}{suffix}.md"));
+        let md_path = dir.join(format!("{stem}.md"));
         fs::write(
             &md_path,
             format!("### {}\n\n{}", set.title, markdown_table(set)),

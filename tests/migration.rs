@@ -22,42 +22,17 @@
 use canary_core::ReplicationStrategyKind;
 use canary_experiments::{chaos, telemetry_to_jsonl, trace_to_jsonl, StrategyKind};
 use canary_platform::{RunResult, TraceKind};
+use golden::check_golden;
 use std::collections::HashSet;
-use std::path::PathBuf;
 
 mod common;
+mod golden;
 
 const CANARY: StrategyKind = StrategyKind::Canary(ReplicationStrategyKind::Dynamic);
 const MIGRATE: StrategyKind = StrategyKind::CanaryMigrate;
 
 /// The pinned seeds; CI's ckpt-smoke job replays seed 42.
 const SEEDS: [u64; 3] = [7, 42, 1337];
-
-fn golden_path(name: &str) -> PathBuf {
-    PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-        .join("../../tests/goldens")
-        .join(name)
-}
-
-fn blessing() -> bool {
-    std::env::var("CANARY_BLESS").is_ok()
-}
-
-fn check_golden(name: &str, actual: &str) {
-    let path = golden_path(name);
-    if blessing() {
-        std::fs::write(&path, actual).unwrap_or_else(|e| panic!("bless {name}: {e}"));
-        return;
-    }
-    let expected = std::fs::read_to_string(&path).unwrap_or_else(|e| {
-        panic!("missing golden {name} ({e}); run with CANARY_BLESS=1 to create it")
-    });
-    assert!(
-        expected == *actual,
-        "{name} drifted from the committed golden; if the change is \
-         deliberate, re-bless with CANARY_BLESS=1 and review the diff"
-    );
-}
 
 fn migration_run(strategy: StrategyKind, seed: u64) -> RunResult {
     chaos::demo_scenario(chaos::named("migration").expect("migration scenario"))
@@ -139,11 +114,11 @@ fn migration_trace_matches_golden_for_seed_42() {
     common::assert_counts_fold_from_trace(&result);
     check_golden(
         "chaos_migration_seed42.jsonl",
-        &trace_to_jsonl(&result.trace),
+        trace_to_jsonl(&result.trace),
     );
     check_golden(
         "telemetry_migration_seed42.txt",
-        &telemetry_to_jsonl(&result.telemetry),
+        telemetry_to_jsonl(&result.telemetry),
     );
 }
 

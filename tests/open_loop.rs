@@ -16,9 +16,10 @@ use canary_core::ReplicationStrategyKind;
 use canary_experiments::load::open_loop_jobs;
 use canary_experiments::{telemetry_to_jsonl, trace_to_jsonl, Scenario, StrategyKind};
 use canary_platform::{JobId, RunResult, Trace, TraceKind};
-use std::path::PathBuf;
+use golden::check_golden;
 
 mod common;
+mod golden;
 
 const CANARY: StrategyKind = StrategyKind::Canary(ReplicationStrategyKind::Dynamic);
 
@@ -247,30 +248,6 @@ fn admission_queue_survives_controller_restart() {
     );
 }
 
-fn golden_path(name: &str) -> PathBuf {
-    PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-        .join("../../tests/goldens")
-        .join(name)
-}
-
-/// Compare against the committed golden, or rewrite it when blessing
-/// (same `CANARY_BLESS=1` flow as `chaos_golden.rs`).
-fn check_golden(name: &str, actual: &str) {
-    let path = golden_path(name);
-    if std::env::var("CANARY_BLESS").is_ok() {
-        std::fs::write(&path, actual).unwrap_or_else(|e| panic!("bless {name}: {e}"));
-        return;
-    }
-    let expected = std::fs::read_to_string(&path).unwrap_or_else(|e| {
-        panic!("missing golden {name} ({e}); run with CANARY_BLESS=1 to create it")
-    });
-    assert!(
-        expected == *actual,
-        "{name} drifted from the committed golden; if the change is \
-         deliberate, re-bless with CANARY_BLESS=1 and review the diff"
-    );
-}
-
 fn golden_run() -> RunResult {
     // Small enough for a reviewable golden, busy enough to exercise
     // arrive → queue → dequeue → submit and a failure recovery.
@@ -282,9 +259,9 @@ fn open_loop_trace_matches_golden() {
     let r = golden_run();
     assert_eq!(r.completed_count(), 8);
     common::assert_counts_fold_from_trace(&r);
-    check_golden("open_loop_seed42.jsonl", &trace_to_jsonl(&r.trace));
+    check_golden("open_loop_seed42.jsonl", trace_to_jsonl(&r.trace));
     check_golden(
         "telemetry_open_loop_seed42.txt",
-        &telemetry_to_jsonl(&r.telemetry),
+        telemetry_to_jsonl(&r.telemetry),
     );
 }
