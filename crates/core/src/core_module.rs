@@ -15,7 +15,7 @@
 
 use crate::checkpoint::CheckpointingModule;
 use crate::config::CanaryConfig;
-use crate::db::{CanaryDb, FunctionInfoRow, JobInfoRow, WorkerInfoRow};
+use crate::db::{CanaryDb, DbOptions, FunctionInfoRow, JobInfoRow, WorkerInfoRow};
 use crate::prediction::FailurePredictor;
 use crate::replication::ReplicationModule;
 use crate::runtime_manager::{ReplicaOffer, RuntimeManager};
@@ -81,13 +81,22 @@ pub struct CanaryStrategy {
 
 impl CanaryStrategy {
     /// Build Canary with the given configuration. The metadata database is
-    /// replicated across three members (Ignite's replicated caching mode).
+    /// replicated across three members (Ignite's replicated caching mode)
+    /// and logs every mutation through its write-ahead log
+    /// ([`DbOptions::durable`]).
     pub fn new(config: CanaryConfig) -> Self {
+        Self::with_db_options(config, DbOptions::durable(3))
+    }
+
+    /// [`CanaryStrategy::new`] over a metadata database built with `db`,
+    /// so tests can turn the row cache or the write-ahead log off and
+    /// check that neither changes a run.
+    pub fn with_db_options(config: CanaryConfig, db: DbOptions) -> Self {
         config.validate().expect("invalid Canary configuration");
         let checkpointing = CheckpointingModule::new(
             config.clone(),
             canary_cluster::StorageHierarchy::default(),
-            Arc::new(CanaryDb::new(3)),
+            Arc::new(CanaryDb::with_options(db)),
         );
         CanaryStrategy {
             replication: ReplicationModule::new(config.clone()),
@@ -558,8 +567,9 @@ impl FtStrategy for CanaryStrategy {
                 // instantaneous in simulated time — the restarted
                 // controller resumes the same deterministic schedule —
                 // so only the trace and counters record that it happened.
-                // Without a WAL (CANARY_NO_WAL) the metadata is simply
-                // gone and later restores fall back to rerun-from-start.
+                // Without a WAL (`DbOptions::durable` off) the metadata is
+                // simply gone and later restores fall back to
+                // rerun-from-start.
                 match self.db().crash_and_recover() {
                     Ok(recovery) => {
                         platform.emit(TraceKind::ControllerRecovered {

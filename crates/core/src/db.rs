@@ -27,13 +27,13 @@
 //!   that writes the store; a membership [generation](
 //!   canary_kvstore::ReplicatedKv::generation) mismatch (node failure,
 //!   recovery, empty rejoin) drops the whole cache, because the backing
-//!   data may have been wiped or resynced under it. Set `CANARY_NO_DB_CACHE`
-//!   to disable the cache for equivalence testing.
+//!   data may have been wiped or resynced under it. [`DbOptions::cache`]
+//!   turns the cache off for equivalence testing.
 //!
 //! # Durability
 //!
 //! With [`DbOptions::durable`] set (the production default through
-//! [`CanaryDb::new`]; set `CANARY_NO_WAL` to disable), every mutation of
+//! [`CanaryDb::new`]; [`DbOptions::fast`] leaves it off), every mutation of
 //! the replica group is written through a [write-ahead log](
 //! canary_kvstore::Wal) with periodic compacting snapshots — the
 //! "native persistence" half of the paper's Ignite deployment. A
@@ -575,18 +575,9 @@ impl CanaryDb {
 
     /// New database replicated across `members` cluster members, on the
     /// fast path (typed keys + row cache) with the write-ahead log
-    /// attached. Setting the `CANARY_NO_DB_CACHE` environment variable
-    /// disables the cache; `CANARY_NO_WAL` disables durability (a
-    /// controller crash then loses all metadata).
+    /// attached ([`DbOptions::durable`]).
     pub fn new(members: usize) -> Self {
-        let mut opts = DbOptions::durable(members);
-        if std::env::var_os("CANARY_NO_DB_CACHE").is_some() {
-            opts.cache = false;
-        }
-        if std::env::var_os("CANARY_NO_WAL").is_some() {
-            opts.durable = false;
-        }
-        Self::with_options(opts)
+        Self::with_options(DbOptions::durable(members))
     }
 
     /// New database with explicit fast-path/oracle configuration.

@@ -19,6 +19,8 @@
 //!
 //! canaryctl trace --in TRACE.jsonl [--perfetto PATH] [--spans PATH]
 //!                 [--job N] [--blame]
+//!
+//! canaryctl fig <fig4 … fig12 | workflow_study | all> [--reps N]
 //! ```
 //!
 //! The observability flags run one extra traced+telemetered repetition
@@ -52,6 +54,12 @@
 //! logged record, and any torn tail. Corruption is reported as a typed
 //! error and exits nonzero.
 //!
+//! The `fig` subcommand regenerates one figure of the paper's evaluation
+//! (`fig4` … `fig12`), the workflow extension study (`workflow_study`),
+//! or every paper figure (`all`) into `results/` under the working
+//! directory, averaging each point over `--reps` repetitions (the
+//! paper's 10 by default). It prints each result set as an ASCII table.
+//!
 //! Example: compare Canary against retry on 200 BFS functions at 25%:
 //!
 //! ```sh
@@ -60,7 +68,9 @@
 //! ```
 
 use canary_core::ReplicationStrategyKind;
-use canary_experiments::{chaos, export, ObsOptions, Scenario, StrategyKind, PRICING};
+use canary_experiments::{
+    chaos, export, figures, FigureOptions, ObsOptions, Scenario, StrategyKind, PRICING,
+};
 use canary_platform::{JobSpec, TraceKind};
 use canary_workloads::{WorkloadKind, WorkloadSpec};
 use std::process::exit;
@@ -106,7 +116,7 @@ fn usage() -> ! {
          \x20                [--reps N] [--node-failures F]\n\
          \x20                [--trace-out PATH] [--telemetry-out PATH] [--timeline]\n\
          \x20                [--perfetto-out PATH] [--spans-out PATH] [--blame]\n\
-         subcommands: chaos, load, trace, wal (see canaryctl <cmd> --help)"
+         subcommands: chaos, fig, load, trace, wal (see canaryctl <cmd> --help)"
     );
     exit(2)
 }
@@ -271,17 +281,17 @@ fn chaos_main(raw: Vec<String>) {
             let mut built =
                 canary_core::CanaryStrategy::new(canary_core::CanaryConfig::with_replication(kind));
             let result = scenario.run_observed_with(strategy, &mut built, seed);
-            match built.db().kv().wal() {
-                Some(wal) => {
-                    let bytes = wal.to_bytes();
-                    std::fs::write(path, &bytes).unwrap_or_else(|e| {
-                        eprintln!("cannot write {path}: {e}");
-                        exit(1)
-                    });
-                    println!("wal image -> {path} ({} bytes)", bytes.len());
-                }
-                None => eprintln!("note: durability is off (CANARY_NO_WAL); no WAL to dump"),
-            }
+            let bytes = built
+                .db()
+                .kv()
+                .wal()
+                .expect("CanaryStrategy::new logs its metadata db through a WAL")
+                .to_bytes();
+            std::fs::write(path, &bytes).unwrap_or_else(|e| {
+                eprintln!("cannot write {path}: {e}");
+                exit(1)
+            });
+            println!("wal image -> {path} ({} bytes)", bytes.len());
             result
         }
         None if obs.needs_causal() => scenario.run_instrumented(strategy, seed),
@@ -645,8 +655,73 @@ fn wal_main(raw: Vec<String>) {
     }
 }
 
+fn fig_usage() -> ! {
+    let mut names: Vec<&str> = figures::OUTPUTS.iter().map(|(name, _, _)| *name).collect();
+    names.dedup();
+    eprintln!(
+        "usage: canaryctl fig <name> [--reps N]\n\
+         names: {}, all\n\
+         writes results/<stem>.csv and .md under the working directory;\n\
+         --reps sets the repetitions per point (default {})",
+        names.join(", "),
+        FigureOptions::default().reps
+    );
+    exit(2)
+}
+
+fn fig_main(raw: Vec<String>) {
+    let mut name: Option<String> = None;
+    let mut opts = FigureOptions::default();
+    let mut it = raw.into_iter();
+    while let Some(arg) = it.next() {
+        match arg.as_str() {
+            "--reps" => {
+                opts.reps = it
+                    .next()
+                    .and_then(|v| v.parse().ok())
+                    .unwrap_or_else(|| fig_usage())
+            }
+            "--help" | "-h" => fig_usage(),
+            flag if flag.starts_with('-') => {
+                eprintln!("unknown flag: {flag}");
+                fig_usage()
+            }
+            _ if name.is_none() => name = Some(arg),
+            _ => {
+                eprintln!("unexpected argument: {arg}");
+                fig_usage()
+            }
+        }
+    }
+    let Some(name) = name else { fig_usage() };
+    let outputs = figures::outputs(&name);
+    if outputs.is_empty() {
+        eprintln!("unknown figure: {name}");
+        fig_usage()
+    }
+    if opts.reps == 0 {
+        fig_usage()
+    }
+    let t0 = std::time::Instant::now();
+    for (stem, build) in &outputs {
+        canary_experiments::emit(stem, &build(&opts)).unwrap_or_else(|e| {
+            eprintln!("cannot write results: {e}");
+            exit(1)
+        });
+    }
+    eprintln!(
+        "regenerated {} result sets in {:.1?}",
+        outputs.len(),
+        t0.elapsed()
+    );
+}
+
 fn main() {
     match std::env::args().nth(1).as_deref() {
+        Some("fig") => {
+            fig_main(std::env::args().skip(2).collect());
+            return;
+        }
         Some("chaos") => {
             chaos_main(std::env::args().skip(2).collect());
             return;

@@ -1,6 +1,6 @@
-//! JSONL export of traces and telemetry, plus the shared `--trace-out` /
-//! `--telemetry-out` / `--timeline` CLI handling for `canaryctl` and the
-//! figure binaries.
+//! JSONL export of traces and telemetry, plus the `--trace-out` /
+//! `--telemetry-out` / `--timeline` CLI handling shared by `canaryctl`'s
+//! run and `chaos` commands.
 //!
 //! The workspace deliberately carries no JSON dependency, so the writer
 //! and the (flat-object) reader here are hand-rolled. Every trace event
@@ -22,7 +22,6 @@
 //! database table. [`trace_from_jsonl`] round-trips every [`TraceKind`]
 //! variant, which keeps exported traces usable as test fixtures.
 
-use crate::scenario::{Scenario, StrategyKind};
 use canary_cluster::{NodeId, StorageTier};
 use canary_container::ContainerId;
 use canary_platform::{
@@ -689,7 +688,7 @@ pub fn spans_to_jsonl(trace: &Trace) -> String {
     out
 }
 
-/// Observability CLI options shared by `canaryctl` and figure binaries.
+/// Observability CLI options shared by `canaryctl`'s run and `chaos` commands.
 #[derive(Debug, Clone, Default)]
 pub struct ObsOptions {
     /// Write the run's trace as JSONL here.
@@ -804,35 +803,6 @@ pub fn export_result(result: &RunResult, opts: &ObsOptions) -> std::io::Result<(
         print!("{}", canary_metrics::blame_report(&result.trace));
     }
     Ok(())
-}
-
-/// Figure-binary hook: when the process arguments carry any
-/// [`ObsOptions`] flags, run one observed run of a representative
-/// scenario (100 web-service invocations at 15% errors under Canary,
-/// seed 42) and export it. Figures sweep hundreds of runs; this gives
-/// their binaries a single inspectable trace without slowing the sweep.
-pub fn maybe_export_observed_run() -> std::io::Result<()> {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let (opts, _rest) = ObsOptions::extract(&args).map_err(std::io::Error::other)?;
-    if !opts.any() {
-        return Ok(());
-    }
-    let scenario = Scenario::chameleon(
-        0.15,
-        vec![canary_platform::JobSpec::new(
-            canary_workloads::WorkloadSpec::paper_default(
-                canary_workloads::WorkloadKind::WebService,
-            ),
-            100,
-        )],
-    );
-    let strategy = StrategyKind::Canary(canary_core::ReplicationStrategyKind::Dynamic);
-    let result = if opts.needs_causal() {
-        scenario.run_instrumented(strategy, 42)
-    } else {
-        scenario.run_observed(strategy, 42)
-    };
-    export_result(&result, &opts)
 }
 
 #[cfg(test)]

@@ -5,12 +5,11 @@
 //! ([`sweep`]), one regenerator per figure (Figs. 4–12, [`figures`]), and
 //! result emission as ASCII / CSV / Markdown ([`output`]).
 //!
-//! Each figure also ships as a binary: `cargo run --release -p
-//! canary-experiments --bin fig7` regenerates Fig. 7; `--bin all_figures`
-//! regenerates everything into `results/`. Set `CANARY_REPS` to override
-//! the paper's 10 repetitions per point. Every binary additionally
-//! accepts `--trace-out` / `--telemetry-out` / `--timeline` to export an
-//! observed run as JSONL and ASCII timelines ([`export`]).
+//! `canaryctl fig <name>` regenerates one figure into `results/`, and
+//! `canaryctl fig all` every one of them; `--reps N` overrides the
+//! paper's 10 repetitions per point. `canaryctl` runs and `canaryctl
+//! chaos` accept `--trace-out` / `--telemetry-out` / `--timeline` to
+//! export an observed run as JSONL and ASCII timelines ([`export`]).
 
 pub mod chaos;
 pub mod export;

@@ -194,16 +194,6 @@ impl Scenario {
     }
 }
 
-/// Repetition count: the paper's 10, overridable via `CANARY_REPS` for
-/// quick local sweeps and benches.
-pub fn repetitions() -> u64 {
-    std::env::var("CANARY_REPS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .filter(|&n| n > 0)
-        .unwrap_or(10)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -257,15 +247,6 @@ mod tests {
         ] {
             let r = s.run_once(kind, 5);
             assert_eq!(r.completed_count(), 30, "{kind:?}");
-        }
-    }
-
-    #[test]
-    fn reps_env_default() {
-        // Do not mutate the environment (tests run in parallel); just
-        // check the default when unset.
-        if std::env::var("CANARY_REPS").is_err() {
-            assert_eq!(repetitions(), 10);
         }
     }
 }

@@ -9,6 +9,8 @@ use canary_workloads::{WorkloadKind, WorkloadSpec};
 use std::path::PathBuf;
 use std::process::Command;
 
+mod golden;
+
 const CANARY: StrategyKind = StrategyKind::Canary(ReplicationStrategyKind::Dynamic);
 
 /// Small observed scenario with injected node failures: enough load for
@@ -216,6 +218,31 @@ fn canaryctl_exports_trace_timeline_and_telemetry() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// `canaryctl fig` writes a figure's result files under `results/` in
+/// its working directory: the workflow study at 2 repetitions reproduces
+/// the CSV goldens `figure_claims` pins for it.
+#[test]
+fn canaryctl_fig_writes_the_pinned_csvs() {
+    let dir = std::env::temp_dir().join(format!("canary-fig-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let out = Command::new(env!("CARGO_BIN_EXE_canaryctl"))
+        .args(["fig", "workflow_study", "--reps", "2"])
+        .current_dir(&dir)
+        .output()
+        .expect("canaryctl runs");
+    assert!(
+        out.status.success(),
+        "canaryctl fig failed:\n{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    for stem in ["workflow_study_a", "workflow_study_b"] {
+        let written = std::fs::read(dir.join("results").join(format!("{stem}.csv")))
+            .unwrap_or_else(|e| panic!("canaryctl fig wrote no {stem}.csv: {e}"));
+        golden::check_golden(&format!("figures/{stem}.csv"), written);
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 /// Out-of-range values are usage errors (exit 2) caught at parse time,
 /// not panics deep inside a run: `--reps` must be at least 1,
 /// `--node-failures` a probability, and every `load --rates` value a
@@ -232,6 +259,9 @@ fn canaryctl_rejects_out_of_range_flags() {
         &["load", "--quick", "--rates", "NaN"],
         &["load", "--quick", "--rates", "1,0"],
         &["load", "--quick", "--rates", "inf"],
+        &["fig"],
+        &["fig", "nope"],
+        &["fig", "fig7", "--reps", "0"],
     ];
     for argv in cases {
         let out = Command::new(env!("CARGO_BIN_EXE_canaryctl"))
