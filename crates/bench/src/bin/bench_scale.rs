@@ -201,11 +201,45 @@ struct EnginePoint {
     handlers: Vec<canary_platform::HotPathRow>,
 }
 
+/// The handler rows of a profiled replay that dispatched anything,
+/// printed to stderr as they are kept.
+fn handler_rows(profile: canary_platform::HotPathProfile) -> Vec<canary_platform::HotPathRow> {
+    let rows: Vec<_> = profile
+        .rows
+        .into_iter()
+        .filter(|r| r.dispatches > 0)
+        .collect();
+    for row in &rows {
+        eprintln!(
+            "  {:<14} {:>12} dispatches {:>14} wall_ns {:>12} allocs",
+            row.event, row.dispatches, row.wall_ns, row.allocs
+        );
+    }
+    rows
+}
+
+/// Append `"handlers": [...]` rows to a JSON record.
+fn handlers_json(json: &mut String, handlers: &[canary_platform::HotPathRow]) {
+    json.push_str("\"handlers\": [");
+    for (j, h) in handlers.iter().enumerate() {
+        let _ = write!(
+            json,
+            "{}{{\"event\": \"{}\", \"dispatches\": {}, \"wall_ns\": {}, \"allocs\": {}}}",
+            if j > 0 { ", " } else { "" },
+            h.event,
+            h.dispatches,
+            h.wall_ns,
+            h.allocs
+        );
+    }
+    json.push(']');
+}
+
 /// End-to-end engine run: wall time and allocation count from an
 /// unobserved run, event count from an observed replay of the same seed
 /// (observation does not change the simulation, so the counts line up).
 /// A third, profiled replay attributes dispatches and allocations to
-/// individual handlers — the same plumbing as `CANARY_MILLION_PROFILE`.
+/// individual handlers.
 fn measure_engine(jobs: u32, nodes: u32) -> EnginePoint {
     let mut scenario = Scenario::chameleon(
         0.15,
@@ -222,19 +256,7 @@ fn measure_engine(jobs: u32, nodes: u32) -> EnginePoint {
     let events = scenario.run_observed(strategy, 42).trace.events.len() as u64;
     let mut profiled = scenario.clone();
     profiled.profile = true;
-    let handlers: Vec<_> = profiled
-        .run_once(strategy, 42)
-        .profile
-        .rows
-        .into_iter()
-        .filter(|r| r.dispatches > 0)
-        .collect();
-    for row in &handlers {
-        eprintln!(
-            "  {:<14} {:>12} dispatches {:>14} wall_ns {:>12} allocs",
-            row.event, row.dispatches, row.wall_ns, row.allocs
-        );
-    }
+    let handlers = handler_rows(profiled.run_once(strategy, 42).profile);
     EnginePoint {
         jobs,
         nodes,
@@ -255,7 +277,9 @@ fn measure_engine(jobs: u32, nodes: u32) -> EnginePoint {
 /// pops, placement, attempt planning, and accounting — from strategy-side
 /// checkpoint bookkeeping, which the smaller Canary tiers above cover.
 /// Events come from the run loop's own dispatch counter, so the
-/// allocs-per-event figure is exact, not a traced-replay estimate.
+/// allocs-per-event figure is exact, not a traced-replay estimate. A
+/// profiled replay of the same run then attributes dispatches, wall time
+/// and allocations to individual handlers, as in [`measure_engine`].
 fn measure_engine_million(invocations: u32, nodes: u32) -> EnginePoint {
     const BATCHES: u32 = 1_000;
     // 240 ms between waves: the 1.2 s two-state workload over a 240 s
@@ -282,35 +306,12 @@ fn measure_engine_million(invocations: u32, nodes: u32) -> EnginePoint {
     let failure = FailureModel::with_error_rate(0.0);
     let mut cfg = RunConfig::new(Cluster::heterogeneous(nodes), failure, 42);
     cfg.admission_delay = SimDuration::ZERO;
-    let mut strategy = IdealStrategy::new();
-    // Debug path: CANARY_MILLION_PROFILE=1 runs the tier under the
-    // hot-path profiler, prints the per-handler dispatch/wall/alloc
-    // table, and exits — the fastest way to attribute a throughput
-    // regression to a specific handler before reaching for a profiler.
-    if std::env::var("CANARY_MILLION_PROFILE").is_ok() {
-        canary_platform::install_alloc_counter(allocs);
-        cfg.profile = true;
-        let t = Instant::now();
-        let r = run(cfg, specs, &mut strategy);
-        let wall = t.elapsed().as_secs_f64();
-        for row in &r.profile.rows {
-            eprintln!(
-                "  {:<14} {:>12} dispatches {:>14} wall_ns {:>12} allocs",
-                row.event, row.dispatches, row.wall_ns, row.allocs
-            );
-        }
-        eprintln!(
-            "  total: {} events in {:.1} ms ({:.0}/s), {} in-handler allocs",
-            r.counters.events_dispatched,
-            wall * 1e3,
-            r.counters.events_dispatched as f64 / wall,
-            r.profile.total_allocs()
-        );
-        std::process::exit(0);
-    }
+    let mut profiled = cfg.clone();
+    profiled.profile = true;
+    let replay_specs = specs.clone();
     let allocs_before = allocs();
     let t = Instant::now();
-    let result = run(cfg, specs, &mut strategy);
+    let result = run(cfg, specs, &mut IdealStrategy::new());
     let wall = t.elapsed().as_secs_f64();
     let run_allocs = allocs() - allocs_before;
     assert_eq!(
@@ -319,6 +320,8 @@ fn measure_engine_million(invocations: u32, nodes: u32) -> EnginePoint {
         "million tier did not complete"
     );
     let events = result.counters.events_dispatched;
+    drop(result);
+    let handlers = handler_rows(run(profiled, replay_specs, &mut IdealStrategy::new()).profile);
     EnginePoint {
         jobs: invocations,
         nodes,
@@ -327,7 +330,7 @@ fn measure_engine_million(invocations: u32, nodes: u32) -> EnginePoint {
         events_per_sec: events as f64 / wall.max(1e-12),
         jobs_per_sec: invocations as f64 / wall.max(1e-12),
         allocs_per_event: run_allocs as f64 / events.max(1) as f64,
-        handlers: Vec::new(),
+        handlers,
     }
 }
 
@@ -406,18 +409,8 @@ fn main() {
         });
     }
 
-    // Debug knob: CANARY_MILLION="invocations,nodes" shrinks the tier
-    // for bisecting scaling behavior; contracts 5/6 only apply at the
-    // real scale, so off-scale runs report without asserting.
-    let (m_jobs, m_nodes) = std::env::var("CANARY_MILLION")
-        .ok()
-        .and_then(|v| {
-            let (j, n) = v.split_once(',')?;
-            Some((j.parse().ok()?, n.parse().ok()?))
-        })
-        .unwrap_or((1_000_000, 10_000));
-    eprintln!("million-job tier: {m_jobs} invocations on {m_nodes} nodes...");
-    let million = measure_engine_million(m_jobs, m_nodes);
+    eprintln!("million-job tier: 1000000 invocations on 10000 nodes...");
+    let million = measure_engine_million(1_000_000, 10_000);
 
     eprintln!("replicated-put allocation audit...");
     let (shared_put_allocs, string_put_allocs) = measure_replicated_put();
@@ -434,21 +427,11 @@ fn main() {
     for (i, e) in engines.iter().enumerate() {
         let _ = write!(
             json,
-            "    {{\"jobs\": {}, \"nodes\": {}, \"wall_ms\": {:.1}, \"events\": {}, \"events_per_sec\": {:.0}, \"jobs_per_sec\": {:.0}, \"allocs_per_event\": {:.1}, \"handlers\": [",
+            "    {{\"jobs\": {}, \"nodes\": {}, \"wall_ms\": {:.1}, \"events\": {}, \"events_per_sec\": {:.0}, \"jobs_per_sec\": {:.0}, \"allocs_per_event\": {:.1}, ",
             e.jobs, e.nodes, e.wall_ms, e.events, e.events_per_sec, e.jobs_per_sec, e.allocs_per_event
         );
-        for (j, h) in e.handlers.iter().enumerate() {
-            let _ = write!(
-                json,
-                "{}{{\"event\": \"{}\", \"dispatches\": {}, \"wall_ns\": {}, \"allocs\": {}}}",
-                if j > 0 { ", " } else { "" },
-                h.event,
-                h.dispatches,
-                h.wall_ns,
-                h.allocs
-            );
-        }
-        json.push_str("]}");
+        handlers_json(&mut json, &e.handlers);
+        json.push('}');
         json.push_str(if i + 1 < engines.len() { ",\n" } else { "\n" });
     }
     json.push_str("  ],\n");
@@ -464,11 +447,13 @@ fn main() {
     }
     json.push_str("  ],\n");
     let m = &million;
-    let _ = writeln!(
+    let _ = write!(
         json,
-        "  \"million\": {{\"jobs\": {}, \"nodes\": {}, \"wall_ms\": {:.1}, \"events\": {}, \"events_per_sec\": {:.0}, \"jobs_per_sec\": {:.0}, \"allocs_per_event\": {:.2}}},",
+        "  \"million\": {{\"jobs\": {}, \"nodes\": {}, \"wall_ms\": {:.1}, \"events\": {}, \"events_per_sec\": {:.0}, \"jobs_per_sec\": {:.0}, \"allocs_per_event\": {:.2}, ",
         m.jobs, m.nodes, m.wall_ms, m.events, m.events_per_sec, m.jobs_per_sec, m.allocs_per_event
     );
+    handlers_json(&mut json, &m.handlers);
+    json.push_str("},\n");
     let _ = writeln!(
         json,
         "  \"replicated_put\": {{\"allocs_per_shared_put\": {shared_put_allocs:.2}, \"allocs_per_string_put\": {string_put_allocs:.2}}}"
@@ -516,26 +501,21 @@ fn main() {
         canary.jobs,
         canary.allocs_per_event
     );
-    // Contracts 5 and 6 are calibrated to the full tier; a shrunken
-    // CANARY_MILLION bisection run reports without asserting.
-    if (m_jobs, m_nodes) == (1_000_000, 10_000) {
-        // Contract 5: the million-job tier sustains a million events per
-        // second through the event loop...
-        let m = &million;
-        assert!(
-            m.events_per_sec >= 1e6,
-            "million tier: {:.0} events/s (need ≥ 1M; {} events in {:.1} ms)",
-            m.events_per_sec,
-            m.events,
-            m.wall_ms
-        );
-        // ...and the engine hot path stays at ≤ 1 allocation per
-        // dispatched event — pooled events, recycled plan buffers, no
-        // tracing strings.
-        assert!(
-            m.allocs_per_event <= 1.0,
-            "million tier allocates {:.2} per event (need ≤ 1)",
-            m.allocs_per_event
-        );
-    }
+    // Contract 5: the million-job tier sustains a million events per
+    // second through the event loop...
+    let m = &million;
+    assert!(
+        m.events_per_sec >= 1e6,
+        "million tier: {:.0} events/s (need ≥ 1M; {} events in {:.1} ms)",
+        m.events_per_sec,
+        m.events,
+        m.wall_ms
+    );
+    // ...and the engine hot path stays at ≤ 1 allocation per dispatched
+    // event — pooled events, recycled plan buffers, no tracing strings.
+    assert!(
+        m.allocs_per_event <= 1.0,
+        "million tier allocates {:.2} per event (need ≤ 1)",
+        m.allocs_per_event
+    );
 }
