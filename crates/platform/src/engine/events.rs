@@ -10,8 +10,8 @@ use crate::strategy::FtStrategy;
 use canary_cluster::NodeId;
 use canary_container::ContainerId;
 
-/// Engine events. `Copy` so the event pool can slab-store them and hand
-/// out plain handles without ownership gymnastics.
+/// Engine events. `Copy` and 24 bytes, so the event queue holds them
+/// by value.
 #[derive(Debug, Clone, Copy)]
 pub enum Event {
     /// A job's request reaches the platform (its `JobSpec` arrival

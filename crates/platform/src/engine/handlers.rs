@@ -7,7 +7,7 @@
 
 use super::{Event, Platform};
 use crate::ids::{FnId, JobId};
-use crate::job::{FnStatus, PlannedAttempt};
+use crate::job::{CloneOutcome, FnStatus, PlannedAttempt, StateTiming};
 use crate::strategy::{
     ArrivalVerdict, FailureInfo, FailureKind, FtStrategy, RecoveryPlan, RecoveryTarget,
 };
@@ -18,32 +18,6 @@ use canary_container::{ContainerId, ContainerState, PlacementError};
 use canary_sim::{SimDuration, SimTime};
 use canary_workloads::RuntimeKind;
 use std::sync::Arc;
-
-/// Completion timing of one state within a planned attempt.
-#[derive(Debug, Clone, Copy)]
-pub struct StateTiming {
-    /// State index in the workload spec.
-    pub idx: u32,
-    /// When its work began.
-    pub start: SimTime,
-    /// When its work (plus checkpoint overhead) finished.
-    pub done: SimTime,
-    /// Reference (unscaled) execution work of the state.
-    pub ref_exec: SimDuration,
-}
-
-/// Outcome of planning one clone of an attempt.
-#[derive(Debug, Clone)]
-pub(super) struct CloneOutcome {
-    pub(super) container: ContainerId,
-    pub(super) node: NodeId,
-    pub(super) exec_start: SimTime,
-    pub(super) end: SimTime,
-    pub(super) completes: bool,
-    pub(super) timings: Vec<StateTiming>,
-    /// Reference work completed by this clone at its end.
-    pub(super) work_done: SimDuration,
-}
 
 impl Platform {
     /// Load balancer: node with the most free slots.
@@ -177,12 +151,10 @@ impl Platform {
         // States fully done before t.
         let mut work = SimDuration::ZERO;
         let mut volatile_state = clone.timings.first().map(|s| s.idx).unwrap_or(0);
-        let mut cursor = clone.exec_start;
         for st in &clone.timings {
             if st.done <= t {
                 work += st.ref_exec;
                 volatile_state = st.idx + 1;
-                cursor = st.done;
             } else {
                 // Partial progress in this state, linear in elapsed time.
                 if t > st.start {
@@ -195,7 +167,6 @@ impl Platform {
                 return (volatile_state, work);
             }
         }
-        let _ = cursor;
         (volatile_state, work)
     }
 
@@ -226,27 +197,20 @@ impl Platform {
             );
             outcomes.push(outcome);
         }
-        let outcomes = outcomes;
 
         // Winner: earliest completing clone; if none completes the attempt
-        // fails when the last clone dies.
+        // fails when the last clone dies, and the primary for progress
+        // reporting is the clone that got furthest.
         let winner = outcomes
             .iter()
-            .filter(|o| o.completes)
-            .min_by_key(|o| o.end);
-        let (end, completes, primary_idx) = match winner {
-            Some(w) => (
-                w.end,
-                true,
-                outcomes
-                    .iter()
-                    .position(|o| std::ptr::eq(o, w))
-                    .expect("winner in list"),
-            ),
+            .enumerate()
+            .filter(|(_, o)| o.completes)
+            .min_by_key(|(_, o)| o.end)
+            .map(|(i, _)| i);
+        let (end, completes, primary) = match winner {
+            Some(i) => (outcomes[i].end, true, i),
             None => {
                 let end = outcomes.iter().map(|o| o.end).max().expect("clones");
-                // Primary for progress reporting: the clone that got
-                // furthest.
                 let idx = outcomes
                     .iter()
                     .enumerate()
@@ -256,33 +220,24 @@ impl Platform {
                 (end, false, idx)
             }
         };
-
-        let mut state_completions = self.completion_buf_pool.get();
-        let mut containers = self.container_buf_pool.get();
-        let primary = &outcomes[primary_idx];
-        state_completions.extend(primary.timings.iter().map(|s| (s.idx, s.done)));
-        containers.extend(outcomes.iter().map(|o| o.container));
         let plan = PlannedAttempt {
             attempt,
-            exec_start: primary.exec_start,
             end,
             completes,
-            state_completions,
             from_state,
-            work_done: primary.work_done,
-            containers,
-            node: primary.node,
+            clones: outcomes,
+            primary,
         };
 
         // Resolve pending recovery accounting now that the new attempt's
         // exec start is known.
-        let exec_start = primary.exec_start;
-        let primary_node = primary.node;
+        let exec_start = plan.primary().exec_start;
+        let node = plan.primary().node;
         {
             let rec = &mut self.fns[fn_id.0 as usize];
             if let Some((t_kill, p_kill)) = rec.pending_recovery.take() {
                 let redo_ref = p_kill.saturating_sub(rec.banked_work);
-                let speed = self.config.cluster.node(primary_node).speed();
+                let speed = self.config.cluster.node(node).speed();
                 let redo = redo_ref.mul_f64(1.0 / speed);
                 rec.recovery += exec_start.saturating_since(t_kill) + redo;
             }
@@ -294,9 +249,7 @@ impl Platform {
         let job = self.fns[fn_id.0 as usize].job;
         let jrec = &mut self.jobs[job.0 as usize];
         jrec.first_exec = Some(jrec.first_exec.map_or(exec_start, |t| t.min(exec_start)));
-        let node = plan.node;
         self.fns[fn_id.0 as usize].plan = Some(plan);
-        self.clone_plans.insert(fn_id, outcomes);
         // Telemetry: this attempt's execution start closes any open
         // recovery spans; the first attempt's start measures admission.
         self.telemetry
@@ -336,16 +289,13 @@ impl Platform {
         self.schedule(end, Event::AttemptEnd { fn_id, attempt });
     }
 
-    /// Return an attempt's planning buffers to their pools so the next
-    /// attempt plans without allocating. Called wherever a plan and its
-    /// clone outcomes are retired together.
-    fn recycle_attempt(&mut self, plan: PlannedAttempt, mut clones: Vec<CloneOutcome>) {
-        self.completion_buf_pool.put(plan.state_completions);
-        self.container_buf_pool.put(plan.containers);
-        for outcome in clones.drain(..) {
+    /// Return a retired attempt's clone and timing buffers to their
+    /// pools so the next attempt plans without allocating.
+    fn recycle_attempt(&mut self, mut plan: PlannedAttempt) {
+        for outcome in plan.clones.drain(..) {
             self.timing_buf_pool.put(outcome.timings);
         }
-        self.clone_buf_pool.put(clones);
+        self.clone_buf_pool.put(plan.clones);
     }
 
     fn apply_recovery_plan(&mut self, fn_id: FnId, plan: RecoveryPlan) {
@@ -396,11 +346,8 @@ impl Platform {
             .expect("running function has a plan");
         // Fence: invalidate the scheduled AttemptEnd.
         self.fns[fn_id.0 as usize].attempt += 1;
-        let clones = self
-            .clone_plans
-            .remove(&fn_id)
-            .expect("running function has clone plans");
-        let primary = clones
+        let primary = plan
+            .clones
             .iter()
             .max_by_key(|o| {
                 let (_, w) = Self::work_at(o, now);
@@ -411,20 +358,10 @@ impl Platform {
         let primary_node = primary.node;
 
         // Durable callbacks for states completed before the crash.
-        if clones.len() == 1 {
-            let mut durable = std::mem::take(&mut self.durable_scratch);
-            durable.clear();
-            durable.extend(
-                clones[0]
-                    .timings
-                    .iter()
-                    .filter(|s| s.done <= now)
-                    .map(|s| (s.idx, s.done)),
-            );
-            for &(idx, at) in &durable {
-                strategy.on_state_durable(self, fn_id, idx, at);
+        if let [clone] = plan.clones.as_slice() {
+            for s in clone.timings.iter().filter(|s| s.done <= now) {
+                strategy.on_state_durable(self, fn_id, s.idx, s.done);
             }
-            self.durable_scratch = durable;
         }
 
         self.emit(TraceKind::AttemptFailed {
@@ -449,7 +386,7 @@ impl Platform {
         };
         let rplan = strategy.on_failure(self, fn_id, info);
         self.apply_recovery_plan(fn_id, rplan);
-        self.recycle_attempt(plan, clones);
+        self.recycle_attempt(plan);
     }
 
     pub(super) fn handle_attempt_end(
@@ -466,30 +403,16 @@ impl Platform {
             .plan
             .take()
             .expect("attempt end with no plan");
-        let clones = self
-            .clone_plans
-            .remove(&fn_id)
-            .expect("attempt end with no clone plans");
 
         // Durable-state callbacks (single-clone strategies only).
-        if clones.len() == 1 {
-            let mut durable = std::mem::take(&mut self.durable_scratch);
-            durable.clear();
-            durable.extend(
-                clones[0]
-                    .timings
-                    .iter()
-                    .filter(|s| s.done <= now)
-                    .map(|s| (s.idx, s.done)),
-            );
-            for &(idx, at) in &durable {
-                strategy.on_state_durable(self, fn_id, idx, at);
+        if let [clone] = plan.clones.as_slice() {
+            for s in clone.timings.iter().filter(|s| s.done <= now) {
+                strategy.on_state_durable(self, fn_id, s.idx, s.done);
             }
-            self.durable_scratch = durable;
         }
 
         // Terminate clone containers at their individual end times.
-        for o in &clones {
+        for o in &plan.clones {
             if let Some(c) = self.registry.get(o.container) {
                 if !c.state.is_terminal() {
                     let final_state = if plan.completes && o.completes && o.end == plan.end {
@@ -540,19 +463,20 @@ impl Platform {
             strategy.on_function_complete(self, fn_id);
             self.drain_admissions();
         } else {
+            let primary = plan.primary();
             self.emit(TraceKind::AttemptFailed {
                 fn_id,
                 attempt,
-                node: plan.node,
+                node: primary.node,
             });
             self.telemetry.span_start(Phase::RecoveryE2E, fn_id.0, now);
-            let volatile_state = clones[0]
+            let volatile_state = plan.clones[0]
                 .timings
                 .last()
                 .map(|s| s.idx + 1)
                 .unwrap_or(plan.from_state);
             let banked = self.fns[fn_id.0 as usize].banked_work;
-            let p_kill = banked + plan.work_done;
+            let p_kill = banked + primary.work_done;
             {
                 let rec = &mut self.fns[fn_id.0 as usize];
                 rec.failures += 1;
@@ -561,14 +485,14 @@ impl Platform {
             let info = FailureInfo {
                 kind: FailureKind::ContainerKill,
                 at: now,
-                node: plan.node,
+                node: primary.node,
                 attempt: attempt - 1,
                 volatile_state,
             };
             let rplan = strategy.on_failure(self, fn_id, info);
             self.apply_recovery_plan(fn_id, rplan);
         }
-        self.recycle_attempt(plan, clones);
+        self.recycle_attempt(plan);
     }
 
     pub(super) fn handle_launch(
@@ -722,19 +646,16 @@ impl Platform {
             .iter()
             .filter(|f| f.status == FnStatus::Running)
             .filter(|f| {
-                self.clone_plans
-                    .get(&f.id)
-                    .map(|clones| {
-                        clones.iter().all(|o| {
-                            victims.contains(&o.container)
-                                || self
-                                    .registry
-                                    .get(o.container)
-                                    .map(|c| c.state.is_terminal())
-                                    .unwrap_or(true)
-                        })
+                f.plan.as_ref().is_some_and(|plan| {
+                    plan.clones.iter().all(|o| {
+                        victims.contains(&o.container)
+                            || self
+                                .registry
+                                .get(o.container)
+                                .map(|c| c.state.is_terminal())
+                                .unwrap_or(true)
                     })
-                    .unwrap_or(false)
+                })
             })
             .map(|f| f.id)
             .collect();

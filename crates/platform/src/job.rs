@@ -97,31 +97,65 @@ pub enum FnStatus {
     Completed,
 }
 
+/// Completion timing of one state within a planned attempt.
+#[derive(Debug, Clone, Copy)]
+pub struct StateTiming {
+    /// State index in the workload spec.
+    pub idx: u32,
+    /// When its work began.
+    pub start: SimTime,
+    /// When its work (plus checkpoint overhead) finished.
+    pub done: SimTime,
+    /// Reference (unscaled) execution work of the state.
+    pub ref_exec: SimDuration,
+}
+
+/// The planned fate of one clone of an attempt.
+#[derive(Debug, Clone)]
+pub struct CloneOutcome {
+    /// Container hosting the clone.
+    pub container: ContainerId,
+    /// Node hosting the container.
+    pub node: NodeId,
+    /// When execution (not cold start) began.
+    pub exec_start: SimTime,
+    /// When the clone ends (completion or kill).
+    pub end: SimTime,
+    /// True when the clone runs to completion.
+    pub completes: bool,
+    /// Timings of the states the clone finishes, in order.
+    pub timings: Vec<StateTiming>,
+    /// Reference work (unscaled execution seconds) completed by the
+    /// clone at its end — partial state work included for kills.
+    pub work_done: SimDuration,
+}
+
 /// The planned fate of one attempt, computed when the attempt starts
 /// (failure times are known from the deterministic oracle, so the whole
-/// attempt timeline is resolvable up front).
+/// attempt timeline is resolvable up front). This is the engine's only
+/// record of an attempt.
 #[derive(Debug, Clone)]
 pub struct PlannedAttempt {
     /// Attempt number this plan belongs to.
     pub attempt: u32,
-    /// When execution (not cold start) began.
-    pub exec_start: SimTime,
     /// When the attempt ends (completion or kill).
     pub end: SimTime,
     /// True when the attempt runs to completion.
     pub completes: bool,
-    /// Completion times of each state finished in this attempt:
-    /// `(state_idx, at)` in order.
-    pub state_completions: Vec<(u32, SimTime)>,
     /// First state index of this attempt.
     pub from_state: u32,
-    /// Reference work (unscaled execution seconds) completed in this
-    /// attempt by its end — partial state work included for kills.
-    pub work_done: SimDuration,
-    /// Containers hosting this attempt (one per clone; index 0 primary).
-    pub containers: Vec<ContainerId>,
-    /// Node hosting the winning/primary clone.
-    pub node: NodeId,
+    /// One outcome per clone, in launch order.
+    pub clones: Vec<CloneOutcome>,
+    /// Index in `clones` of the primary clone: the winner of a
+    /// completing attempt, else the clone that got furthest.
+    pub primary: usize,
+}
+
+impl PlannedAttempt {
+    /// The primary clone, `clones[primary]`.
+    pub fn primary(&self) -> &CloneOutcome {
+        &self.clones[self.primary]
+    }
 }
 
 /// Runtime record of one function invocation.
@@ -138,7 +172,7 @@ pub struct FnRecord {
     /// Attempts started so far (also the stale-event fence: events carry
     /// the attempt they belong to and are dropped on mismatch).
     pub attempt: u32,
-    /// Current attempt plan.
+    /// The running attempt's plan (`None` between attempts).
     pub plan: Option<PlannedAttempt>,
     /// Reference work already *banked* at the start of the current
     /// attempt (durable progress; 0 for stateless retry).
