@@ -53,11 +53,6 @@ impl ActiveStandbyStrategy {
             }
         }
     }
-
-    /// Number of standbys currently tracked (for tests).
-    pub fn tracked_standbys(&self) -> usize {
-        self.standby_of.len()
-    }
 }
 
 impl FtStrategy for ActiveStandbyStrategy {

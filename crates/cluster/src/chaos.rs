@@ -15,10 +15,9 @@
 use crate::node::NodeId;
 use crate::topology::Cluster;
 use canary_sim::{SimDuration, SimRng, SimTime};
-use serde::{Deserialize, Serialize};
 
 /// A scheduled pairwise network partition between two nodes.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PartitionSpec {
     /// One endpoint of the partitioned pair.
     pub a: u32,
@@ -31,7 +30,7 @@ pub struct PartitionSpec {
 }
 
 /// A scheduled outage of one replicated-store member.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct StoreOutageSpec {
     /// Index of the store member that goes down.
     pub member: u32,
@@ -43,7 +42,7 @@ pub struct StoreOutageSpec {
 }
 
 /// A window of cluster-wide network degradation.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DegradeSpec {
     /// Slowdown multiplier (≥ 1) applied to network-bound work while
     /// the window is active.
@@ -55,7 +54,7 @@ pub struct DegradeSpec {
 }
 
 /// A correlated burst of node crashes within one rack (zone failure).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BurstSpec {
     /// When the burst strikes, seconds into the run.
     pub at_s: u64,
@@ -72,14 +71,14 @@ pub struct BurstSpec {
 /// Unlike the other specs this one is timed in **microseconds**, so the
 /// crash-point sweep can land a crash strictly between any two adjacent
 /// events of a schedule.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ControllerCrashSpec {
     /// When the control plane dies, microseconds into the run.
     pub at_us: u64,
 }
 
 /// Declarative chaos configuration for one run. The default is no chaos.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ChaosSpec {
     /// Pairwise node partitions.
     pub partitions: Vec<PartitionSpec>,
@@ -91,7 +90,6 @@ pub struct ChaosSpec {
     pub bursts: Vec<BurstSpec>,
     /// Control-plane crash-restarts (metadata substrate dies and recovers
     /// from its write-ahead log).
-    #[serde(default)]
     pub controller_crashes: Vec<ControllerCrashSpec>,
     /// Probability that a given attempt runs on a straggling executor.
     pub straggler_rate: f64,

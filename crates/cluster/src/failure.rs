@@ -13,10 +13,9 @@
 use crate::node::NodeId;
 use crate::topology::Cluster;
 use canary_sim::{SimDuration, SimRng, SimTime};
-use serde::{Deserialize, Serialize};
 
 /// Failure configuration for one run.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct FailureModel {
     /// Probability that any given function *attempt* is killed before it
     /// completes (the paper's error rate, 0.01–0.50).
@@ -58,7 +57,7 @@ impl FailureModel {
 }
 
 /// A planned node crash.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct NodeFailure {
     /// The node that crashes.
     pub node: NodeId,
@@ -139,12 +138,6 @@ impl FailureInjector {
             }
         }
         failures
-    }
-
-    /// Expected number of failed attempts among `n` first attempts — used
-    /// by experiments for sanity assertions.
-    pub fn expected_first_attempt_failures(&self, n: usize) -> f64 {
-        n as f64 * self.model.error_rate
     }
 }
 

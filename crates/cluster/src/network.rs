@@ -7,10 +7,9 @@
 use crate::node::NodeId;
 use crate::topology::Cluster;
 use canary_sim::SimDuration;
-use serde::{Deserialize, Serialize};
 
 /// Parameters of the cluster interconnect.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct NetworkModel {
     /// One-way latency for a same-rack message.
     pub base_latency: SimDuration,

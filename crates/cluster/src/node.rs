@@ -7,13 +7,10 @@
 //! hosting node's speed, so nodes carry an explicit speed factor and a
 //! failure-proneness weight (older hardware fails more often, §I).
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Identifier of a node within a cluster (dense, 0-based).
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize, Default,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct NodeId(pub u32);
 
 impl fmt::Display for NodeId {
@@ -24,7 +21,7 @@ impl fmt::Display for NodeId {
 
 /// CPU classes present in the paper's testbed, plus a generic class for
 /// synthetic sweeps.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum CpuClass {
     /// Intel Xeon Gold 6126 (oldest of the three; Skylake, 2017).
     Gold6126,
@@ -61,7 +58,7 @@ impl CpuClass {
 }
 
 /// Static description of one node.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct NodeSpec {
     /// Node identity.
     pub id: NodeId,
@@ -89,7 +86,7 @@ impl NodeSpec {
 }
 
 /// Dynamic node status tracked during a run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum NodeState {
     /// Healthy and accepting containers.
     Up,

@@ -8,10 +8,9 @@
 //! overridden by a custom endpoint such as an S3 bucket.
 
 use canary_sim::SimDuration;
-use serde::{Deserialize, Serialize};
 
 /// A class of storage device with a throughput/latency profile.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum StorageTier {
     /// In-memory KV store entry (Apache Ignite in the paper).
     KvStore,
@@ -78,7 +77,7 @@ impl StorageTier {
 
 /// Ordered storage hierarchy: the tier used for a checkpoint is the first
 /// whose capacity rule admits the payload.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct StorageHierarchy {
     /// Per-key size limit of the in-memory KV store (`db_limit` in
     /// Algorithm 1). Ignite-style stores cap entry sizes well below total

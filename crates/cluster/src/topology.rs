@@ -1,14 +1,13 @@
 //! Cluster topology: a set of nodes arranged in racks.
 
 use crate::node::{CpuClass, NodeId, NodeSpec};
-use serde::{Deserialize, Serialize};
 
 /// Number of nodes per rack in generated topologies; matches a typical
 /// half-rack of 2U servers and gives the 16-node testbed four racks.
 const NODES_PER_RACK: u32 = 4;
 
 /// A cluster: the unit the platform schedules over.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Cluster {
     nodes: Vec<NodeSpec>,
 }

@@ -9,10 +9,9 @@
 
 use canary_sim::SimDuration;
 use canary_workloads::RuntimeKind;
-use serde::{Deserialize, Serialize};
 
 /// Timing and size profile of one runtime image.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ImageProfile {
     /// Which language runtime this image provides.
     pub runtime: RuntimeKind,

@@ -7,13 +7,10 @@
 
 use canary_cluster::NodeId;
 use canary_workloads::RuntimeKind;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Container identity, unique within one simulation run.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize, Default,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct ContainerId(pub u64);
 
 impl fmt::Display for ContainerId {
@@ -23,7 +20,7 @@ impl fmt::Display for ContainerId {
 }
 
 /// Why a container exists.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ContainerPurpose {
     /// Hosts a scheduled function invocation.
     Function,
@@ -34,7 +31,7 @@ pub enum ContainerPurpose {
 }
 
 /// Lifecycle phases.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ContainerState {
     /// Image being pulled from the registry.
     Pulling,
@@ -90,7 +87,7 @@ impl ContainerState {
 }
 
 /// A tracked container.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Container {
     /// Identity.
     pub id: ContainerId,

@@ -60,11 +60,6 @@ pub fn sequence_digest(hashes: &[u64]) -> u64 {
     hash
 }
 
-/// The storage key a chunk body lives under in the shared tier.
-pub fn chunk_key(hash: u64) -> String {
-    format!("chunk/{hash:016x}")
-}
-
 /// Chunk-store errors (read path).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ChunkError {
@@ -224,11 +219,6 @@ impl ChunkStore {
     /// True when no chunk is stored.
     pub fn is_empty(&self) -> bool {
         self.chunks.is_empty()
-    }
-
-    /// Bytes currently resident across all chunk bodies.
-    pub fn resident_bytes(&self) -> u64 {
-        self.chunks.values().map(|e| e.body.len() as u64).sum()
     }
 
     /// Sum of all reference counts (must equal the total manifest entry
@@ -586,11 +576,6 @@ mod tests {
         assert_eq!(H, fnv1a64(b"chunk"));
         assert_ne!(fnv1a64(b"chunk"), fnv1a64(b"chunl"));
         assert_eq!(fnv1a64(b""), 0xcbf2_9ce4_8422_2325);
-    }
-
-    #[test]
-    fn chunk_key_layout() {
-        assert_eq!(chunk_key(0xabc), "chunk/0000000000000abc");
     }
 
     #[test]

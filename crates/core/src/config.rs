@@ -1,10 +1,9 @@
 //! Canary configuration.
 
 use canary_sim::SimDuration;
-use serde::{Deserialize, Serialize};
 
 /// Runtime-replication policy (§V-D.4 / Fig. 9).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ReplicationStrategyKind {
     /// Dynamic replication — Canary's default: the replication factor
     /// follows the observed failure rate.
@@ -36,7 +35,7 @@ impl ReplicationStrategyKind {
 }
 
 /// Checkpointing mode (§IV-C.4b).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum CheckpointMode {
     /// Implicit: Canary checkpoints every registered state with
     /// coarse-grained control — the default.
@@ -48,7 +47,7 @@ pub enum CheckpointMode {
 }
 
 /// Full Canary configuration.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct CanaryConfig {
     /// Replication policy.
     pub replication: ReplicationStrategyKind,
@@ -91,7 +90,6 @@ pub struct CanaryConfig {
     /// the replica — transferring only the chunks it lacks — instead of
     /// rerunning from the checkpoint read back in full. Off by default;
     /// the pinned golden traces were blessed without it.
-    #[serde(default)]
     pub migrate: bool,
 }
 

@@ -32,8 +32,8 @@ mod window;
 pub use api::{ApiError, FunctionContext, RegisteredState, StateService};
 pub use checkpoint::{CheckpointingModule, CkptOptions, MigrateInfo, MigrateLookup, RestoreInfo};
 pub use chunk::{
-    chunk_key, decode_manifest, encode_manifest, fnv1a64, restore_from_manifest, sequence_digest,
-    ChunkError, ChunkStats, ChunkStore, Manifest, ManifestError,
+    decode_manifest, encode_manifest, fnv1a64, restore_from_manifest, sequence_digest, ChunkError,
+    ChunkStats, ChunkStore, Manifest, ManifestError,
 };
 pub use config::{CanaryConfig, CheckpointMode, ReplicationStrategyKind};
 pub use core_module::CanaryStrategy;

@@ -15,7 +15,6 @@ use crate::config::{CanaryConfig, ReplicationStrategyKind};
 use crate::runtime_manager::RuntimeManager;
 use canary_cluster::NodeId;
 use canary_platform::Platform;
-use canary_sim::SimTime;
 use canary_workloads::RuntimeKind;
 use std::collections::HashMap;
 
@@ -237,11 +236,6 @@ impl ReplicationModule {
             manager.total(runtime),
             self.observed_rate(runtime)
         )
-    }
-
-    /// Timestamp helper kept for parity with the paper's replica rows.
-    pub fn now_us(platform: &Platform) -> u64 {
-        SimTime::as_micros(platform.now())
     }
 }
 

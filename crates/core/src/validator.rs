@@ -8,14 +8,13 @@
 //! and the engine owns the one admission queue that holds them.
 
 use canary_platform::{JobSpec, RunConfigError};
-use serde::{Deserialize, Serialize};
 use std::error::Error;
 use std::fmt;
 
 /// Platform/account limits the validator enforces (modelled on public
 /// FaaS quotas, e.g. AWS Lambda's 10 GB memory cap and 1000 concurrent
 /// executions).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct PlatformLimits {
     /// Maximum memory per function, MB.
     pub max_memory_mb: u64,

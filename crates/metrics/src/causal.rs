@@ -20,7 +20,6 @@
 
 use canary_platform::{FnId, JobId, SpanId, Trace, TraceKind};
 use canary_sim::{SimDuration, SimTime};
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::fmt;
 use std::fmt::Write as _;
@@ -29,7 +28,7 @@ use std::fmt::Write as _;
 ///
 /// `queue + admission + exec + checkpoint + restore + fault_wait` equals
 /// the job's makespan (arrival → last-function completion) exactly.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct Blame {
     /// Held in the admission queue (arrival → gate release).
     pub queue: SimDuration,
@@ -66,7 +65,7 @@ impl Blame {
 }
 
 /// One contiguous segment of a job's critical path.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct CpStep {
     /// Segment start.
     pub from: SimTime,
@@ -78,7 +77,7 @@ pub struct CpStep {
 
 /// A job's critical path: the contiguous chain of segments from arrival
 /// to the completion of its last-finishing function.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct CriticalPath {
     /// The job.
     pub job: JobId,

@@ -8,10 +8,9 @@
 
 use canary_container::ContainerPurpose;
 use canary_platform::RunResult;
-use serde::{Deserialize, Serialize};
 
 /// Per-GB·s pricing.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct PricingModel {
     /// Dollars per GB·second.
     pub per_gb_second: f64,

@@ -10,7 +10,6 @@
 
 use canary_platform::{RunResult, Trace, TraceKind};
 use canary_sim::{Percentiles, SimTime};
-use serde::{Deserialize, Serialize};
 
 /// Response-time distribution of one run's jobs.
 ///
@@ -18,7 +17,7 @@ use serde::{Deserialize, Serialize};
 /// completion, queue wait included. Rejected jobs never ran, so they are
 /// excluded from the latency distribution and reported separately via
 /// [`ResponseStats::rejected`].
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct ResponseStats {
     /// Jobs that completed (rejected jobs excluded).
     pub completed: usize,
@@ -85,7 +84,7 @@ impl ResponseStats {
 }
 
 /// One step of the admission-queue depth over time.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct QueueDepthPoint {
     /// When the depth changed.
     pub at: SimTime,
@@ -126,7 +125,7 @@ pub fn peak_queue_depth(trace: &Trace) -> u32 {
 }
 
 /// SLO scorecard: how many jobs responded within the target.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct SloSummary {
     /// Response-time target, seconds.
     pub target_s: f64,

@@ -10,11 +10,10 @@ use crate::telemetry::TelemetrySnapshot;
 use crate::trace::{Trace, TraceKind};
 use canary_container::ContainerPurpose;
 use canary_sim::{SimDuration, SimTime};
-use serde::{Deserialize, Serialize};
 
 /// Billing record for one container: the GB·s cost model in §V-D.4 prices
 /// each container's lifetime × memory allocation.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct ContainerUsage {
     /// Why the container existed (function / replica / standby).
     pub purpose: ContainerPurpose,
@@ -39,7 +38,7 @@ impl ContainerUsage {
 }
 
 /// Per-function outcome.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct FnOutcome {
     /// Function id.
     pub id: FnId,
@@ -58,7 +57,7 @@ pub struct FnOutcome {
 }
 
 /// Per-job outcome.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct JobOutcome {
     /// Job id.
     pub id: JobId,
@@ -101,7 +100,7 @@ impl JobOutcome {
 }
 
 /// Miscellaneous run counters.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RunCounters {
     /// Function-level failures injected.
     pub function_failures: u64,
@@ -148,14 +147,11 @@ pub struct RunCounters {
     /// Events dequeued and dispatched by the run loop. The honest
     /// denominator for events/s and allocs/event throughput claims —
     /// counted at dispatch, with or without tracing.
-    #[serde(default)]
     pub events_dispatched: u64,
     /// Node-crash recoveries resolved by live migration to a warm
     /// replica instead of rerun-from-checkpoint.
-    #[serde(default)]
     pub migrations: u64,
     /// Chunks shipped to warm replicas by those migrations (the deltas).
-    #[serde(default)]
     pub chunks_migrated: u64,
 }
 
@@ -245,7 +241,7 @@ pub fn counters_from_trace(trace: &Trace) -> Counts {
 }
 
 /// The complete result of one simulated run.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct RunResult {
     /// Strategy label.
     pub strategy: String,
@@ -266,7 +262,6 @@ pub struct RunResult {
     pub telemetry: TelemetrySnapshot,
     /// Engine hot-path profile (empty unless `RunConfig::profile` was
     /// set).
-    #[serde(default)]
     pub profile: HotPathProfile,
 }
 

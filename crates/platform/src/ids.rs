@@ -5,19 +5,14 @@
 //! invocations are identified platform-wide; both are dense indices into
 //! the run's tables.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A submitted job (a batch of function invocations of one workload).
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize, Default,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct JobId(pub u32);
 
 /// One function invocation.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize, Default,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct FnId(pub u64);
 
 impl fmt::Display for JobId {

@@ -14,7 +14,6 @@
 //! register its counter through [`install_alloc_counter`]; without a
 //! hook the alloc columns read zero and everything else still works.
 
-use serde::{Deserialize, Serialize};
 use std::sync::OnceLock;
 
 /// Process-wide allocation-count hook. Set once per process.
@@ -33,7 +32,7 @@ pub(crate) fn alloc_count() -> u64 {
 }
 
 /// One event kind's share of the engine's hot path.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct HotPathRow {
     /// Event-kind label (stable across runs).
     pub event: String,
@@ -47,7 +46,7 @@ pub struct HotPathRow {
 
 /// The run's hot-path report: per-event-kind dispatch counts, handler
 /// cost, and allocation attribution.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct HotPathProfile {
     /// True when [`crate::RunConfig::profile`] was on.
     pub enabled: bool,

@@ -13,7 +13,6 @@ use crate::ids::{FnId, JobId};
 use canary_cluster::{FaultEvent, NodeId};
 use canary_container::ContainerId;
 use canary_sim::{SimDuration, SimTime};
-use serde::{Deserialize, Serialize};
 
 /// What killed the function attempt.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -62,7 +61,7 @@ pub enum ArrivalVerdict {
 }
 
 /// Where the recovered attempt runs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RecoveryTarget {
     /// Launch a fresh container through the controller (placement chosen
     /// by the load balancer at launch time). Pays the cold start.

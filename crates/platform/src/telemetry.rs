@@ -21,12 +21,11 @@
 
 use crate::accounting::Counts;
 use canary_sim::{SimDuration, SimTime};
-use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, HashMap};
 use std::fmt;
 
 /// Instrumented lifecycle phases.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum Phase {
     /// Controller admission: first launch request to execution start
     /// (queueing on the serialized controller + cold start).
@@ -129,7 +128,7 @@ const BUCKETS: usize = 40;
 /// Log2 buckets in microseconds; percentiles are reported as the upper
 /// bound of the bucket containing the requested rank, which bounds the
 /// relative error at 2×. Exact minimum/maximum are tracked separately.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Histogram {
     buckets: [u64; BUCKETS],
     count: u64,
@@ -226,7 +225,7 @@ impl Histogram {
 }
 
 /// Aggregated statistics for one phase, as exported in snapshots.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct PhaseSummary {
     /// The phase.
     pub phase: Phase,
@@ -247,7 +246,7 @@ pub struct PhaseSummary {
 }
 
 /// Per-table read/write counts from the Canary state database.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct TableStats {
     /// Table name.
     pub table: String,
@@ -259,7 +258,7 @@ pub struct TableStats {
 
 /// Immutable point-in-time export of a run's telemetry, carried in
 /// [`crate::RunResult`].
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct TelemetrySnapshot {
     /// Whether telemetry was enabled for the run (all-zero otherwise).
     pub enabled: bool,
@@ -274,7 +273,6 @@ pub struct TelemetrySnapshot {
     /// Spans still open when the snapshot was taken — starts that never
     /// saw a matching end or cancel. Anything non-zero means a phase
     /// histogram silently lost samples.
-    #[serde(default)]
     pub spans_orphaned: u64,
 }
 
@@ -303,12 +301,8 @@ pub struct Telemetry {
     histograms: BTreeMap<Phase, Histogram>,
     /// Store totals reported at run end.
     store: StoreStats,
-    /// Table traffic keyed by interned name — the recording path never
-    /// allocates a `String` after a table's first report; the text is
-    /// resolved from `names` only when a snapshot is exported.
-    tables: BTreeMap<crate::intern::Symbol, (u64, u64)>,
-    /// Intern pool for table names.
-    names: crate::intern::SymbolTable,
+    /// Table traffic `(reads, writes)` by table name.
+    tables: BTreeMap<String, (u64, u64)>,
     /// Open spans: `(phase, key)` → start time. Keys are caller-chosen
     /// (function id for recovery phases, container id for cold starts).
     open: HashMap<(Phase, u64), SimTime>,
@@ -373,14 +367,12 @@ impl Telemetry {
     }
 
     /// Report a database table's cumulative read/write counts
-    /// (overwrites any previous report for the table). Allocates only
-    /// the first time a given table name is seen.
+    /// (overwrites any previous report for the table).
     pub fn set_table_stats(&mut self, table: &str, reads: u64, writes: u64) {
         if !self.enabled {
             return;
         }
-        let sym = self.names.intern(table);
-        self.tables.insert(sym, (reads, writes));
+        self.tables.insert(table.to_string(), (reads, writes));
     }
 
     /// Report the store totals (overwrites any previous report).
@@ -427,18 +419,17 @@ impl Telemetry {
         } else {
             Vec::new()
         };
-        // Resolve interned names back to text, sorted by name so the
-        // export order is independent of interning order.
-        let mut tables: Vec<TableStats> = self
+        // The map iterates in name order, so the export order is
+        // independent of report order.
+        let tables: Vec<TableStats> = self
             .tables
             .iter()
-            .map(|(&sym, &(reads, writes))| TableStats {
-                table: self.names.resolve(sym).to_string(),
+            .map(|(table, &(reads, writes))| TableStats {
+                table: table.clone(),
                 reads,
                 writes,
             })
             .collect();
-        tables.sort_by(|a, b| a.table.cmp(&b.table));
         TelemetrySnapshot {
             enabled: self.enabled,
             phases,

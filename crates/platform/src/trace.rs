@@ -15,16 +15,13 @@ use crate::strategy::RecoveryTarget;
 use canary_cluster::{NodeId, StorageTier};
 use canary_container::ContainerId;
 use canary_sim::{SimDuration, SimTime};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Identity of one trace span. Every emitted [`TraceEvent`] gets a fresh
 /// `SpanId` at emit time when [`crate::RunConfig::causal`] is on; the id
 /// `0` is reserved as the "no span" sentinel so that links stay `Copy`
 /// and cost nothing to carry when causal observation is off.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize, Default,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct SpanId(pub u64);
 
 impl SpanId {
@@ -49,7 +46,7 @@ impl fmt::Display for SpanId {
 }
 
 /// What happened.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TraceKind {
     /// A job's request arrived at the platform (client submission). Under
     /// open-loop load this precedes admission — the gap to the matching
@@ -119,7 +116,6 @@ pub enum TraceKind {
         /// timeline. Recorded only under [`crate::RunConfig::causal`]
         /// (zero otherwise) so critical-path blame can split an attempt's
         /// wall time into exec vs checkpoint components.
-        #[serde(default)]
         cost: SimDuration,
     },
     /// A checkpoint was read back during recovery.
@@ -276,7 +272,7 @@ pub enum TraceKind {
 }
 
 /// One trace record.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TraceEvent {
     /// When it happened.
     pub at: SimTime,
@@ -284,16 +280,13 @@ pub struct TraceEvent {
     pub kind: TraceKind,
     /// This event's own span identity. [`SpanId::NONE`] unless the run
     /// recorded causal links ([`crate::RunConfig::causal`]).
-    #[serde(default)]
     pub span: SpanId,
     /// Containment link: the span this event belongs under (a job root
     /// for its attempts, an attempt for its checkpoints, ...).
-    #[serde(default)]
     pub parent: SpanId,
     /// Trigger link across trees: the earlier span that caused this event
     /// (a chaos fault for the attempts it killed, a recovery plan for the
     /// restarted attempt, ...).
-    #[serde(default)]
     pub cause: SpanId,
 }
 
@@ -440,7 +433,7 @@ impl fmt::Display for TraceEvent {
 }
 
 /// A recorded trace.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct Trace {
     /// Events in simulation-time order.
     pub events: Vec<TraceEvent>,

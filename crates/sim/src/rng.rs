@@ -141,11 +141,6 @@ impl SimRng {
         mean + std_dev * r * (2.0 * std::f64::consts::PI * u2).cos()
     }
 
-    /// Normally distributed sample truncated below at `min`.
-    pub fn normal_min(&mut self, mean: f64, std_dev: f64, min: f64) -> f64 {
-        self.normal(mean, std_dev).max(min)
-    }
-
     /// Pick a uniformly random element of a non-empty slice.
     pub fn choose<'a, T>(&mut self, items: &'a [T]) -> &'a T {
         assert!(!items.is_empty(), "choose from empty slice");

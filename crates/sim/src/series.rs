@@ -4,10 +4,8 @@
 //! "Canary", "Retry") sharing an x-axis (e.g. failure rate). Experiments
 //! build these; the metrics crate renders them as tables/CSV.
 
-use serde::{Deserialize, Serialize};
-
 /// One (x, y) point, optionally with an error bar (std dev).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Point {
     /// Independent variable (failure rate, #invocations, #nodes, ...).
     pub x: f64,
@@ -18,7 +16,7 @@ pub struct Point {
 }
 
 /// A named sequence of points.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Series {
     /// Legend label.
     pub label: String,
@@ -68,7 +66,7 @@ impl Series {
 }
 
 /// A full figure: axis metadata plus one or more series.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct SeriesSet {
     /// Figure title (e.g. "Fig 4: recovery time vs failure rate").
     pub title: String,

@@ -1,13 +1,11 @@
 //! Online statistics used to aggregate experiment results.
 
-use serde::{Deserialize, Serialize};
-
 /// Welford online mean / variance accumulator.
 ///
 /// Numerically stable single-pass algorithm; suitable for aggregating the
 /// 10 repetitions the paper reports per experiment point as well as
 /// per-function measurements inside one run.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct Welford {
     n: u64,
     mean: f64,

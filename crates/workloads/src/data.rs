@@ -9,14 +9,13 @@
 //! diversity indices are non-trivial.
 
 use canary_sim::SimRng;
-use serde::{Deserialize, Serialize};
 
 /// Number of demographic groups tracked per county (census race/ethnicity
 /// categories collapse to six major groups in the 2017 file).
 pub const NUM_GROUPS: usize = 6;
 
 /// One county's population broken down by demographic group.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CountyRow {
     /// FIPS-like identifier (dense, 0-based).
     pub county_id: u32,

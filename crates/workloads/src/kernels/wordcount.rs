@@ -118,12 +118,6 @@ impl MapKernel {
             partitions,
         }
     }
-
-    /// Intermediate output destined for `partition` (call on a completed
-    /// state; this is what reducers consume).
-    pub fn output_for(&self, state: &MapState, partition: u32) -> PartialCounts {
-        state.outputs[partition as usize].clone()
-    }
 }
 
 impl Resumable for MapKernel {

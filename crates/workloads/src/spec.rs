@@ -13,12 +13,11 @@
 //! compute kernels live in [`crate::kernels`].
 
 use canary_sim::SimDuration;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Language runtime a workload's container uses (§V-C.2: the workloads are
 /// written in Python, Node.js, and Java).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum RuntimeKind {
     /// OpenWhisk Python 3 action runtime.
     Python,
@@ -49,7 +48,7 @@ impl fmt::Display for RuntimeKind {
 }
 
 /// The five workload classes of the evaluation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum WorkloadKind {
     /// ResNet50 on MNIST/CIFAR10, 50 epochs (TensorFlow in the paper).
     DeepLearning,
@@ -104,7 +103,7 @@ impl fmt::Display for WorkloadKind {
 
 /// One checkpointable state within a function execution (§III: the
 /// interval `st_ij` between state updates plus the checkpoint payload).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct StateSpec {
     /// Reference-node execution time of this state's work.
     pub exec: SimDuration,
@@ -114,7 +113,7 @@ pub struct StateSpec {
 }
 
 /// A complete workload description for one function invocation.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct WorkloadSpec {
     /// Which application class this is.
     pub kind: WorkloadKind,
@@ -263,11 +262,6 @@ impl WorkloadSpec {
     /// Largest checkpoint payload in the spec.
     pub fn max_ckpt_bytes(&self) -> u64 {
         self.states.iter().map(|s| s.ckpt_bytes).max().unwrap_or(0)
-    }
-
-    /// Memory in GB for the pricing model.
-    pub fn memory_gb(&self) -> f64 {
-        self.memory_mb as f64 / 1024.0
     }
 }
 
