@@ -300,9 +300,10 @@ fn measure_engine_million(invocations: u32, nodes: u32) -> EnginePoint {
         .collect();
     // Built directly on RunConfig (not Scenario) for one knob: the
     // modeled 100 ms serialized-controller admission delay is zeroed.
-    // With it on, every pending launch re-polls the controller each
-    // admission slot — an O(n²) event storm that measures the admission
-    // *model*, not the engine. The tier's subject is the event loop.
+    // With it on, the controller admits one launch per slot, so a
+    // million launches wait in the admission FIFO for ~28 simulated
+    // hours — a measure of the admission *model*, not the engine. The
+    // tier's subject is the event loop.
     let failure = FailureModel::with_error_rate(0.0);
     let mut cfg = RunConfig::new(Cluster::heterogeneous(nodes), failure, 42);
     cfg.admission_delay = SimDuration::ZERO;
