@@ -16,7 +16,7 @@ use canary_bench::scheduler::{
     active_indexed, active_scan, best_node_indexed, best_node_scan, platform_with, registry_with,
     warm_first_indexed, warm_first_scan, SIZES,
 };
-use canary_experiments::{Scenario, StrategyKind};
+use canary_experiments::{Observe, Scenario, StrategyKind};
 use canary_platform::JobSpec;
 use canary_workloads::{RuntimeKind, WorkloadSpec};
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -168,7 +168,7 @@ fn main() {
         vec![JobSpec::new(WorkloadSpec::web_service(10), e2e_invocations)],
     );
     scenario.nodes = 16;
-    let result = scenario.run_once(StrategyKind::Retry, 7);
+    let result = scenario.run(StrategyKind::Retry, 7, Observe::NONE);
     let e2e_ms = t.elapsed().as_secs_f64() * 1e3;
     black_box(&result);
 
@@ -184,13 +184,13 @@ fn main() {
     };
     let plain_ms = median_ms(&mut || {
         let t = Instant::now();
-        black_box(scenario.run_once(strategy, 7));
+        black_box(scenario.run(strategy, 7, Observe::NONE));
         t.elapsed().as_secs_f64() * 1e3
     });
     let mut profile = canary_platform::HotPathProfile::default();
     let observed_ms = median_ms(&mut || {
         let t = Instant::now();
-        let r = scenario.run_instrumented(strategy, 7);
+        let r = scenario.run(strategy, 7, Observe::ALL);
         let ms = t.elapsed().as_secs_f64() * 1e3;
         profile = r.profile.clone();
         black_box(r);

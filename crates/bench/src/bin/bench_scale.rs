@@ -31,7 +31,7 @@ use canary_core::db::{
     CanaryDb, CheckpointInfoRow, DbOptions, FunctionInfoRow, JobInfoRow, WorkerInfoRow,
 };
 use canary_core::ReplicationStrategyKind;
-use canary_experiments::{Scenario, StrategyKind};
+use canary_experiments::{Observe, Scenario, StrategyKind};
 use canary_kvstore::{ReplicatedKv, StoreConfig};
 use canary_platform::{run, JobSpec, RunConfig};
 use canary_sim::SimDuration;
@@ -249,14 +249,17 @@ fn measure_engine(jobs: u32, nodes: u32) -> EnginePoint {
     let strategy = StrategyKind::Canary(ReplicationStrategyKind::Dynamic);
     let allocs_before = allocs();
     let t = Instant::now();
-    let result = scenario.run_once(strategy, 42);
+    let result = scenario.run(strategy, 42, Observe::NONE);
     let wall = t.elapsed().as_secs_f64();
     let run_allocs = allocs() - allocs_before;
     assert_eq!(result.fns.len() as u32, jobs, "run did not complete");
-    let events = scenario.run_observed(strategy, 42).trace.events.len() as u64;
-    let mut profiled = scenario.clone();
-    profiled.profile = true;
-    let handlers = handler_rows(profiled.run_once(strategy, 42).profile);
+    let traced = scenario.run(strategy, 42, Observe::TRACE);
+    let events = traced.trace.events.len() as u64;
+    let profile = Observe {
+        profile: true,
+        ..Observe::NONE
+    };
+    let handlers = handler_rows(scenario.run(strategy, 42, profile).profile);
     EnginePoint {
         jobs,
         nodes,

@@ -1,15 +1,15 @@
 //! `canaryctl` — run ad-hoc scenarios from the command line.
 //!
 //! ```text
-//! canaryctl [--strategy canary|canary-ar|canary-lr|retry|ideal|rr|as]
+//! canaryctl [--strategy canary|canary-ar|canary-lr|canary-migrate|retry|ideal|rr|as]
 //!           [--workload dl|web|spark|compress|bfs]
 //!           [--invocations N] [--rate F] [--nodes N] [--seed N]
-//!           [--reps N] [--node-failures F]
-//!           [--trace-out PATH] [--telemetry-out PATH] [--timeline]
+//!           [--reps N] [--node-failures F] [OUTPUTS]
+//! OUTPUTS:  [--trace-out PATH] [--telemetry-out PATH] [--timeline]
+//!           [--perfetto-out PATH] [--spans-out PATH] [--blame] [--wal-out PATH]
 //!
 //! canaryctl chaos [--scenario NAME | --spec PATH] [--seed N]
-//!                 [--strategy ...] [--list] [--wal-out PATH]
-//!                 [--trace-out PATH] [--telemetry-out PATH] [--timeline]
+//!                 [--strategy ...] [--list] [OUTPUTS]
 //!
 //! canaryctl wal --in WAL.bin
 //!
@@ -23,14 +23,16 @@
 //! canaryctl fig <fig4 … fig12 | workflow_study | all> [--reps N]
 //! ```
 //!
-//! The observability flags run one extra traced+telemetered repetition
-//! of the *first* strategy (at `--seed`) and export it: `--trace-out`
-//! and `--telemetry-out` write JSONL, `--timeline` prints the ASCII
-//! swimlane, the recovery critical-path breakdown, and the telemetry
-//! summary. `--perfetto-out` / `--spans-out` / `--blame` additionally
-//! switch the observed run to full causal instrumentation and export
-//! Chrome/Perfetto JSON, span-per-line JSONL, or the per-job
-//! critical-path blame table.
+//! `OUTPUTS`, shared by both run commands, run one extra observed
+//! repetition of the *first* strategy (at `--seed`) and export it:
+//! `--trace-out` / `--telemetry-out` write JSONL, `--timeline` prints the
+//! ASCII swimlane, recovery breakdown, and telemetry summary,
+//! `--perfetto-out` / `--spans-out` / `--blame` export Chrome/Perfetto
+//! JSON, span JSONL, or the critical-path blame table, and `--wal-out`
+//! (Canary strategies only) dumps the metadata db's write-ahead-log
+//! image. Each output is what its flag writes alone, whatever else is
+//! asked for; only `--trace-out` next to a causal output also carries the
+//! causal link fields.
 //!
 //! The `trace` subcommand analyzes a previously exported `--trace-out`
 //! file offline: convert it to Perfetto (`--perfetto`) or span JSONL
@@ -47,8 +49,6 @@
 //! or a TOML spec file (`--spec`). The fault schedule is spec-driven;
 //! `--seed` moves only the straggler/corruption oracles and the regular
 //! failure injection, so a failing seed reproduces byte-identically.
-//! With `--wal-out` (canary strategies only) the metadata db's
-//! write-ahead log image is dumped after the run for offline inspection.
 //!
 //! The `wal` subcommand inspects such a dump: the snapshot header, every
 //! logged record, and any torn tail. Corruption is reported as a typed
@@ -67,11 +67,11 @@
 //!   --workload bfs --invocations 200 --rate 0.25
 //! ```
 
-use canary_core::ReplicationStrategyKind;
+use canary_core::{CanaryStrategy, ReplicationStrategyKind};
 use canary_experiments::{
-    chaos, export, figures, FigureOptions, ObsOptions, Scenario, StrategyKind, PRICING,
+    chaos, export, figures, FigureOptions, ObsOptions, Scenario, StrategyKind,
 };
-use canary_platform::{JobSpec, TraceKind};
+use canary_platform::{JobSpec, RunResult, TraceKind};
 use canary_workloads::{WorkloadKind, WorkloadSpec};
 use std::process::exit;
 
@@ -108,14 +108,18 @@ impl Default for Args {
     }
 }
 
+/// Every name `parse_strategy` accepts, as the usage texts list them.
+const STRATEGY_NAMES: &str = "canary|canary-ar|canary-lr|canary-migrate|retry|ideal|rr|as";
+
 fn usage() -> ! {
     eprintln!(
-        "usage: canaryctl [--strategy canary|canary-ar|canary-lr|canary-migrate|retry|ideal|rr|as]\n\
+        "usage: canaryctl [--strategy {STRATEGY_NAMES}]\n\
          \x20                [--workload dl|web|spark|compress|bfs]\n\
          \x20                [--invocations N] [--rate F] [--nodes N] [--seed N]\n\
          \x20                [--reps N] [--node-failures F]\n\
          \x20                [--trace-out PATH] [--telemetry-out PATH] [--timeline]\n\
          \x20                [--perfetto-out PATH] [--spans-out PATH] [--blame]\n\
+         \x20                [--wal-out PATH]\n\
          subcommands: chaos, fig, load, trace, wal (see canaryctl <cmd> --help)"
     );
     exit(2)
@@ -136,6 +140,43 @@ fn parse_strategy(s: &str) -> StrategyKind {
             usage()
         }
     }
+}
+
+/// `--wal-out` dumps the Canary metadata db's log, so the observed
+/// strategy must be a Canary kind; anything else is a usage error.
+fn check_wal_out(obs: &ObsOptions, kind: StrategyKind, usage: fn() -> !) {
+    if obs.wal_out.is_some() && kind.canary_config().is_none() {
+        eprintln!("--wal-out requires a canary strategy (the WAL is its metadata log)");
+        usage()
+    }
+}
+
+/// The one observed run behind the default command and `chaos`: `kind`
+/// once at `seed`, recording what the requested outputs need
+/// ([`ObsOptions::observe`]). For `--wal-out` the Canary strategy is
+/// built here and kept after the run, so its write-ahead-log image can
+/// be written.
+fn observed_run(scenario: &Scenario, kind: StrategyKind, seed: u64, obs: &ObsOptions) -> RunResult {
+    let Some(path) = &obs.wal_out else {
+        return scenario.run(kind, seed, obs.observe());
+    };
+    let config = kind
+        .canary_config()
+        .expect("check_wal_out admits only Canary kinds");
+    let mut strategy = CanaryStrategy::new(config);
+    let result = scenario.run_with(kind, seed, obs.observe(), &mut strategy);
+    let bytes = strategy
+        .db()
+        .kv()
+        .wal()
+        .expect("CanaryStrategy::new logs its metadata db through a WAL")
+        .to_bytes();
+    std::fs::write(path, &bytes).unwrap_or_else(|e| {
+        eprintln!("cannot write {}: {e}", path.display());
+        exit(1)
+    });
+    println!("wal image -> {} ({} bytes)", path.display(), bytes.len());
+    result
 }
 
 fn parse_workload(s: &str) -> WorkloadKind {
@@ -192,6 +233,7 @@ fn parse_args() -> Args {
     if !explicit_strategies.is_empty() {
         args.strategies = explicit_strategies;
     }
+    check_wal_out(&args.obs, args.strategies[0], usage);
     if !(0.0..=1.0).contains(&args.rate)
         || !(0.0..=1.0).contains(&args.node_failures)
         || args.invocations == 0
@@ -206,9 +248,11 @@ fn parse_args() -> Args {
 fn chaos_usage() -> ! {
     eprintln!(
         "usage: canaryctl chaos [--scenario NAME | --spec PATH] [--seed N]\n\
-         \x20                      [--strategy canary|canary-ar|canary-lr|canary-migrate|retry|rr|as]\n\
-         \x20                      [--list] [--wal-out PATH]\n\
+         \x20                      [--strategy {STRATEGY_NAMES}]\n\
+         \x20                      [--list]\n\
          \x20                      [--trace-out PATH] [--telemetry-out PATH] [--timeline]\n\
+         \x20                      [--perfetto-out PATH] [--spans-out PATH] [--blame]\n\
+         \x20                      [--wal-out PATH]\n\
          scenarios: {}",
         chaos::SCENARIOS.join(", ")
     );
@@ -224,7 +268,6 @@ fn chaos_main(raw: Vec<String>) {
     let mut spec_path: Option<String> = None;
     let mut seed: u64 = 42;
     let mut strategy = StrategyKind::Canary(ReplicationStrategyKind::Dynamic);
-    let mut wal_out: Option<String> = None;
     let mut it = rest.into_iter();
     while let Some(flag) = it.next() {
         let mut value = |name: &str| -> String {
@@ -238,7 +281,6 @@ fn chaos_main(raw: Vec<String>) {
             "--spec" => spec_path = Some(value("--spec")),
             "--seed" => seed = value("--seed").parse().unwrap_or_else(|_| chaos_usage()),
             "--strategy" => strategy = parse_strategy(&value("--strategy")),
-            "--wal-out" => wal_out = Some(value("--wal-out")),
             "--list" => {
                 for name in chaos::SCENARIOS {
                     println!("{name}");
@@ -270,33 +312,8 @@ fn chaos_main(raw: Vec<String>) {
     };
     let scenario = chaos::demo_scenario(spec);
     let expected: u32 = scenario.jobs.iter().map(|j| j.invocations).sum();
-    let result = match &wal_out {
-        Some(path) => {
-            // The WAL lives inside the Canary strategy's metadata db, so
-            // build the strategy out here and keep it after the run.
-            let StrategyKind::Canary(kind) = strategy else {
-                eprintln!("--wal-out requires a canary strategy (the WAL is its metadata log)");
-                chaos_usage()
-            };
-            let mut built =
-                canary_core::CanaryStrategy::new(canary_core::CanaryConfig::with_replication(kind));
-            let result = scenario.run_observed_with(strategy, &mut built, seed);
-            let bytes = built
-                .db()
-                .kv()
-                .wal()
-                .expect("CanaryStrategy::new logs its metadata db through a WAL")
-                .to_bytes();
-            std::fs::write(path, &bytes).unwrap_or_else(|e| {
-                eprintln!("cannot write {path}: {e}");
-                exit(1)
-            });
-            println!("wal image -> {path} ({} bytes)", bytes.len());
-            result
-        }
-        None if obs.needs_causal() => scenario.run_instrumented(strategy, seed),
-        None => scenario.run_observed(strategy, seed),
-    };
+    check_wal_out(&obs, strategy, chaos_usage);
+    let result = observed_run(&scenario, strategy, seed, &obs);
 
     let source = spec_path.unwrap_or(scenario_name);
     println!(
@@ -309,59 +326,24 @@ fn chaos_main(raw: Vec<String>) {
         expected,
         result.makespan().as_secs_f64()
     );
+    // Every count but partitions comes from the counter registry's rule;
+    // no counter tracks partitions.
+    let counts = canary_platform::counters_from_trace(&result.trace);
     for (label, count) in [
         (
             "partitions",
             result
                 .trace
-                .count(|k| matches!(k, TraceKind::PartitionStarted { .. })),
+                .count(|k| matches!(k, TraceKind::PartitionStarted { .. })) as u64,
         ),
-        (
-            "store outages",
-            result
-                .trace
-                .count(|k| matches!(k, TraceKind::StoreOutage { .. })),
-        ),
-        (
-            "store rejoins",
-            result
-                .trace
-                .count(|k| matches!(k, TraceKind::StoreRejoined { .. })),
-        ),
-        (
-            "stragglers",
-            result
-                .trace
-                .count(|k| matches!(k, TraceKind::StragglerInjected { .. })),
-        ),
-        (
-            "checkpoints skipped",
-            result
-                .trace
-                .count(|k| matches!(k, TraceKind::CheckpointSkipped { .. })),
-        ),
-        (
-            "corrupted checkpoints",
-            result
-                .trace
-                .count(|k| matches!(k, TraceKind::CheckpointCorrupted { .. })),
-        ),
-        (
-            "restore fallbacks",
-            result
-                .trace
-                .count(|k| matches!(k, TraceKind::RestoreFallback { .. })),
-        ),
-        (
-            "controller crashes",
-            result
-                .trace
-                .count(|k| matches!(k, TraceKind::ControllerCrashed)),
-        ),
-        (
-            "wal records replayed",
-            result.counters.wal_records_replayed as usize,
-        ),
+        ("store outages", counts.run.store_outages),
+        ("store rejoins", counts.store_rejoins),
+        ("stragglers", counts.run.stragglers_injected),
+        ("checkpoints skipped", counts.run.checkpoints_skipped),
+        ("corrupted checkpoints", counts.checkpoints_corrupted),
+        ("restore fallbacks", counts.run.restore_fallbacks),
+        ("controller crashes", counts.run.controller_crashes),
+        ("wal records replayed", counts.run.wal_records_replayed),
     ] {
         println!("  {label:<22} {count}");
     }
@@ -385,7 +367,7 @@ fn load_usage() -> ! {
     eprintln!(
         "usage: canaryctl load [--quick] [--rates F,F,...] [--jobs N]\n\
          \x20                     [--max-inflight N] [--error-rate F] [--seed N]\n\
-         \x20                     [--strategy canary|canary-ar|canary-lr|retry|ideal|rr|as]\n\
+         \x20                     [--strategy {STRATEGY_NAMES}]\n\
          \x20                     [--out PATH]"
     );
     exit(2)
@@ -776,17 +758,12 @@ fn main() {
             rep.worst_cv() * 100.0,
         );
     }
-    if args.obs.any() {
+    if args.obs.any() || args.obs.wal_out.is_some() {
         println!();
-        let observed = if args.obs.needs_causal() {
-            scenario.run_instrumented(args.strategies[0], args.seed)
-        } else {
-            scenario.run_observed(args.strategies[0], args.seed)
-        };
+        let observed = observed_run(&scenario, args.strategies[0], args.seed, &args.obs);
         export::export_result(&observed, &args.obs).unwrap_or_else(|e| {
             eprintln!("observability export failed: {e}");
             exit(1)
         });
     }
-    let _ = PRICING;
 }

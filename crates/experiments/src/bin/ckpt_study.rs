@@ -28,7 +28,7 @@ use canary_cluster::StorageHierarchy;
 use canary_core::{
     CanaryConfig, CanaryDb, CheckpointingModule, CkptOptions, ReplicationStrategyKind,
 };
-use canary_experiments::{chaos, StrategyKind};
+use canary_experiments::{chaos, Observe, StrategyKind};
 use canary_metrics::recovery_spans;
 use canary_sim::SimTime;
 use std::fmt::Write as _;
@@ -226,8 +226,11 @@ struct ChaosPoint {
 fn sweep_chaos(seed: u64, violations: &mut Vec<String>) -> ChaosPoint {
     let spec = chaos::named("migration").expect("migration scenario");
     let scenario = chaos::demo_scenario(spec);
-    let base = scenario.run_observed(StrategyKind::Canary(ReplicationStrategyKind::Dynamic), seed);
-    let mig = scenario.run_observed(StrategyKind::CanaryMigrate, seed);
+    let [base, mig] = [
+        StrategyKind::Canary(ReplicationStrategyKind::Dynamic),
+        StrategyKind::CanaryMigrate,
+    ]
+    .map(|kind| scenario.run(kind, seed, Observe::TRACE));
     if base.completed_count() != mig.completed_count() {
         violations.push(format!(
             "seed {seed}: migration completed {} functions, baseline {}",

@@ -20,7 +20,7 @@
 
 use canary_cluster::ControllerCrashSpec;
 use canary_core::{CanaryConfig, CanaryStrategy, ReplicationStrategyKind};
-use canary_experiments::{chaos, trace_to_jsonl, StrategyKind};
+use canary_experiments::{chaos, trace_to_jsonl, Observe, StrategyKind};
 use canary_kvstore::{Wal, WalConfig};
 use canary_platform::RunResult;
 use std::fmt::Write as _;
@@ -67,7 +67,7 @@ struct Sweep {
 
 fn sweep_seed(seed: u64, stride: usize, violations: &mut Vec<String>) -> Sweep {
     let scenario = chaos::demo_scenario(chaos::named("mixed").expect("mixed scenario"));
-    let base = scenario.run_observed(CANARY, seed);
+    let base = scenario.run(CANARY, seed, Observe::TRACE);
     let base_jsonl = trace_to_jsonl(&base.trace);
     let points = crash_points(&base);
     let mut sweep = Sweep {
@@ -83,7 +83,7 @@ fn sweep_seed(seed: u64, stride: usize, violations: &mut Vec<String>) -> Sweep {
     for &at_us in points.iter().step_by(stride) {
         let mut spec = chaos::named("mixed").expect("mixed scenario");
         spec.controller_crashes.push(ControllerCrashSpec { at_us });
-        let crashed = chaos::demo_scenario(spec).run_observed(CANARY, seed);
+        let crashed = chaos::demo_scenario(spec).run(CANARY, seed, Observe::TRACE);
         sweep.swept += 1;
         let trace_ok = filtered_jsonl(&crashed) == base_jsonl;
         let outcomes_ok = crashed.completed_count() == base.completed_count()
@@ -127,7 +127,7 @@ fn measure_reopen(iterations: u32) -> Reopen {
     let mut strategy = CanaryStrategy::new(CanaryConfig::with_replication(
         ReplicationStrategyKind::Dynamic,
     ));
-    let _ = scenario.run_observed_with(CANARY, &mut strategy, 42);
+    let _ = scenario.run_with(CANARY, 42, Observe::TRACE, &mut strategy);
     let wal = strategy
         .db()
         .kv()

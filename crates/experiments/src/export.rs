@@ -22,6 +22,7 @@
 //! database table. [`trace_from_jsonl`] round-trips every [`TraceKind`]
 //! variant, which keeps exported traces usable as test fixtures.
 
+use crate::scenario::Observe;
 use canary_cluster::{NodeId, StorageTier};
 use canary_container::ContainerId;
 use canary_platform::{
@@ -688,7 +689,9 @@ pub fn spans_to_jsonl(trace: &Trace) -> String {
     out
 }
 
-/// Observability CLI options shared by `canaryctl`'s run and `chaos` commands.
+/// Observability CLI options shared by `canaryctl`'s run and `chaos`
+/// commands. The outputs alone decide what the run records
+/// ([`ObsOptions::observe`]).
 #[derive(Debug, Clone, Default)]
 pub struct ObsOptions {
     /// Write the run's trace as JSONL here.
@@ -704,10 +707,13 @@ pub struct ObsOptions {
     pub spans_out: Option<PathBuf>,
     /// Print the per-job critical-path blame report to stdout.
     pub blame: bool,
+    /// Write the Canary metadata db's write-ahead-log image here (the
+    /// run writes it, not [`export_result`]).
+    pub wal_out: Option<PathBuf>,
 }
 
 impl ObsOptions {
-    /// Any output requested?
+    /// Any output [`export_result`] writes requested?
     pub fn any(&self) -> bool {
         self.trace_out.is_some()
             || self.telemetry_out.is_some()
@@ -717,54 +723,55 @@ impl ObsOptions {
             || self.blame
     }
 
-    /// Do the requested outputs want causal span links in the trace?
-    /// (Flow arrows, span JSONL, and blame are all link-powered; plain
-    /// trace/telemetry exports are not, and must stay byte-identical to
-    /// historical goldens.)
-    pub fn needs_causal(&self) -> bool {
-        self.perfetto_out.is_some() || self.spans_out.is_some() || self.blame
+    /// What the observed run records for the requested outputs: always
+    /// the trace and telemetry, causal links when an output reads them
+    /// (Perfetto flow arrows, span JSONL, blame), never the profiler. So
+    /// each output is what its flag writes alone, except that the
+    /// `--trace-out` JSONL gains the link fields next to a causal output.
+    pub fn observe(&self) -> Observe {
+        Observe {
+            causal: self.perfetto_out.is_some() || self.spans_out.is_some() || self.blame,
+            ..Observe::TRACE
+        }
     }
 
     /// Extract `--trace-out PATH`, `--telemetry-out PATH`, `--timeline`,
-    /// `--perfetto-out PATH`, `--spans-out PATH`, and `--blame` from an
-    /// argument list, returning the options and the remaining
-    /// (unconsumed) arguments.
+    /// `--perfetto-out PATH`, `--spans-out PATH`, `--blame`, and
+    /// `--wal-out PATH` from an argument list, returning the options and
+    /// the remaining (unconsumed) arguments.
     pub fn extract(args: &[String]) -> Result<(ObsOptions, Vec<String>), String> {
         let mut opts = ObsOptions::default();
         let mut rest = Vec::new();
         let mut it = args.iter();
         while let Some(a) = it.next() {
-            match a.as_str() {
-                "--trace-out" => {
-                    opts.trace_out = Some(PathBuf::from(
-                        it.next().ok_or("missing value for --trace-out")?,
-                    ));
+            let path = match a.as_str() {
+                "--trace-out" => &mut opts.trace_out,
+                "--telemetry-out" => &mut opts.telemetry_out,
+                "--perfetto-out" => &mut opts.perfetto_out,
+                "--spans-out" => &mut opts.spans_out,
+                "--wal-out" => &mut opts.wal_out,
+                "--timeline" => {
+                    opts.timeline = true;
+                    continue;
                 }
-                "--telemetry-out" => {
-                    opts.telemetry_out = Some(PathBuf::from(
-                        it.next().ok_or("missing value for --telemetry-out")?,
-                    ));
+                "--blame" => {
+                    opts.blame = true;
+                    continue;
                 }
-                "--timeline" => opts.timeline = true,
-                "--perfetto-out" => {
-                    opts.perfetto_out = Some(PathBuf::from(
-                        it.next().ok_or("missing value for --perfetto-out")?,
-                    ));
+                _ => {
+                    rest.push(a.clone());
+                    continue;
                 }
-                "--spans-out" => {
-                    opts.spans_out = Some(PathBuf::from(
-                        it.next().ok_or("missing value for --spans-out")?,
-                    ));
-                }
-                "--blame" => opts.blame = true,
-                _ => rest.push(a.clone()),
-            }
+            };
+            let value = it.next().ok_or_else(|| format!("missing value for {a}"))?;
+            *path = Some(PathBuf::from(value));
         }
         Ok((opts, rest))
     }
 }
 
-/// Write/print everything [`ObsOptions`] asks for from one run result.
+/// Write/print everything [`ObsOptions`] asks for from one run result,
+/// except the WAL image, which the run itself writes.
 pub fn export_result(result: &RunResult, opts: &ObsOptions) -> std::io::Result<()> {
     if let Some(path) = &opts.trace_out {
         std::fs::write(path, trace_to_jsonl(&result.trace))?;
@@ -794,10 +801,6 @@ pub fn export_result(result: &RunResult, opts: &ObsOptions) -> std::io::Result<(
         print!("{}", canary_metrics::counters_summary(&result.counters));
         println!();
         print!("{}", canary_metrics::telemetry_summary(&result.telemetry));
-        if result.profile.enabled {
-            println!();
-            print!("{}", canary_metrics::hot_path_report(&result.profile));
-        }
     }
     if opts.blame {
         print!("{}", canary_metrics::blame_report(&result.trace));
@@ -1094,12 +1097,13 @@ mod tests {
         .map(|s| s.to_string())
         .collect();
         let (opts, rest) = ObsOptions::extract(&args).unwrap();
-        assert!(rest.is_empty());
-        assert!(opts.needs_causal() && opts.any());
+        assert!(rest.is_empty() && opts.any());
+        let observe = opts.observe();
+        assert!(observe.trace && observe.causal && !observe.profile);
         let (opts, _) = ObsOptions::extract(&["--blame".to_string()]).unwrap();
-        assert!(opts.blame && opts.needs_causal());
+        assert!(opts.blame && opts.observe().causal);
         let (opts, _) = ObsOptions::extract(&["--timeline".to_string()]).unwrap();
-        assert!(!opts.needs_causal());
+        assert_eq!(opts.observe(), Observe::TRACE);
     }
 
     /// A causal trace: every link field and the checkpoint `cost` make

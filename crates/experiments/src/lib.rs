@@ -23,5 +23,5 @@ pub use export::{telemetry_to_jsonl, trace_from_jsonl, trace_to_jsonl, ExportErr
 pub use figures::{FigureOptions, Metric};
 pub use load::{open_loop_jobs, run_study, LoadConfig, LoadPoint};
 pub use output::emit;
-pub use scenario::{Scenario, StrategyKind, ERROR_RATES, PRICING};
+pub use scenario::{Observe, Scenario, StrategyKind, ERROR_RATES, PRICING};
 pub use sweep::parallel_map;

@@ -15,7 +15,7 @@
 //! strategy at that rate, so strategies face byte-identical arrival
 //! streams and differences are attributable to recovery alone.
 
-use crate::scenario::{Scenario, StrategyKind};
+use crate::scenario::{Observe, Scenario, StrategyKind};
 use canary_metrics::{peak_queue_depth, slo_attainment, ResponseStats, SloSummary};
 use canary_platform::JobSpec;
 use canary_sim::{ArrivalProcess, SimRng};
@@ -119,7 +119,7 @@ pub fn run_study(cfg: &LoadConfig, strategies: &[StrategyKind]) -> Vec<LoadPoint
     for &rate in &cfg.rates_hz {
         let scenario = load_scenario(cfg, rate);
         for &strategy in strategies {
-            let r = scenario.run_observed(strategy, cfg.run_seed);
+            let r = scenario.run(strategy, cfg.run_seed, Observe::TRACE);
             points.push(LoadPoint {
                 offered_hz: rate,
                 strategy: r.strategy.clone(),

@@ -49,23 +49,66 @@ impl StrategyKind {
         }
     }
 
+    /// The configuration of a Canary kind, `None` for the baselines:
+    /// the one place a Canary kind's config is built.
+    pub fn canary_config(&self) -> Option<CanaryConfig> {
+        match self {
+            StrategyKind::Canary(k) => Some(CanaryConfig::with_replication(*k)),
+            StrategyKind::CanaryMigrate => {
+                let mut config = CanaryConfig::with_replication(ReplicationStrategyKind::Dynamic);
+                config.migrate = true;
+                Some(config)
+            }
+            _ => None,
+        }
+    }
+
     /// Instantiate a fresh strategy object.
     pub fn build(&self) -> Box<dyn FtStrategy + Send> {
         match self {
             StrategyKind::Ideal => Box::new(IdealStrategy::new()),
             StrategyKind::Retry => Box::new(RetryStrategy::new()),
-            StrategyKind::Canary(k) => {
-                Box::new(CanaryStrategy::new(CanaryConfig::with_replication(*k)))
-            }
-            StrategyKind::CanaryMigrate => {
-                let mut config = CanaryConfig::with_replication(ReplicationStrategyKind::Dynamic);
-                config.migrate = true;
-                Box::new(CanaryStrategy::new(config))
-            }
+            StrategyKind::Canary(_) | StrategyKind::CanaryMigrate => Box::new(CanaryStrategy::new(
+                self.canary_config()
+                    .expect("a Canary kind has a Canary config"),
+            )),
             StrategyKind::RequestReplication(n) => Box::new(RequestReplicationStrategy::new(*n)),
             StrategyKind::ActiveStandby => Box::new(ActiveStandbyStrategy::new()),
         }
     }
+}
+
+/// What one run records besides its outcome. Observation only: the
+/// simulated run is the same whatever is observed.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Observe {
+    /// Record the execution trace and the telemetry snapshot.
+    pub trace: bool,
+    /// Thread causal span/parent/cause links through the trace (only
+    /// recorded with `trace`).
+    pub causal: bool,
+    /// Profile the engine's own hot path.
+    pub profile: bool,
+}
+
+impl Observe {
+    /// Record nothing (the sweeps).
+    pub const NONE: Observe = Observe {
+        trace: false,
+        causal: false,
+        profile: false,
+    };
+    /// Trace and telemetry.
+    pub const TRACE: Observe = Observe {
+        trace: true,
+        ..Observe::NONE
+    };
+    /// Trace, telemetry, causal links and the hot-path profiler.
+    pub const ALL: Observe = Observe {
+        trace: true,
+        causal: true,
+        profile: true,
+    };
 }
 
 /// One experiment point: a cluster / failure configuration plus the jobs.
@@ -79,15 +122,6 @@ pub struct Scenario {
     pub node_failure_rate: f64,
     /// Horizon for node-failure placement, seconds.
     pub node_failure_horizon_s: u64,
-    /// Record an execution trace (off for sweeps; observation only).
-    pub trace: bool,
-    /// Record telemetry histograms/counters (observation only).
-    pub telemetry: bool,
-    /// Thread causal span/parent/cause links through the trace
-    /// (observation only; requires `trace`).
-    pub causal: bool,
-    /// Profile the engine's own hot path (observation only).
-    pub profile: bool,
     /// Chaos fault plan: partitions, store outages, degradation, bursts,
     /// stragglers, corruption (empty for plain sweeps; forced empty for
     /// the ideal strategy).
@@ -107,17 +141,13 @@ impl Scenario {
             error_rate,
             node_failure_rate: 0.0,
             node_failure_horizon_s: 1_200,
-            trace: false,
-            telemetry: false,
-            causal: false,
-            profile: false,
             chaos: ChaosSpec::default(),
             max_inflight: None,
             jobs,
         }
     }
 
-    fn config(&self, strategy: StrategyKind, seed: u64) -> RunConfig {
+    fn config(&self, strategy: StrategyKind, seed: u64, observe: Observe) -> RunConfig {
         // The ideal scenario is defined as failure-free (§V-B).
         let (rate, node_rate) = if strategy == StrategyKind::Ideal {
             (0.0, 0.0)
@@ -127,10 +157,10 @@ impl Scenario {
         let failure = FailureModel::with_error_rate(rate).with_node_failures(node_rate);
         let mut cfg = RunConfig::new(Cluster::heterogeneous(self.nodes), failure, seed);
         cfg.node_failure_horizon = canary_sim::SimDuration::from_secs(self.node_failure_horizon_s);
-        cfg.trace = self.trace;
-        cfg.telemetry = self.telemetry;
-        cfg.causal = self.causal;
-        cfg.profile = self.profile;
+        cfg.trace = observe.trace;
+        cfg.telemetry = observe.trace;
+        cfg.causal = observe.causal;
+        cfg.profile = observe.profile;
         cfg.max_inflight = self.max_inflight;
         if strategy != StrategyKind::Ideal {
             cfg.chaos = self.chaos.clone();
@@ -138,57 +168,35 @@ impl Scenario {
         cfg
     }
 
-    /// Run once with trace and telemetry recording enabled, regardless of
-    /// the scenario's sweep settings. Observation only: the returned
-    /// simulation outcome is identical to [`Scenario::run_once`].
-    pub fn run_observed(&self, strategy: StrategyKind, seed: u64) -> RunResult {
-        let mut observed = self.clone();
-        observed.trace = true;
-        observed.telemetry = true;
-        observed.run_once(strategy, seed)
+    /// Run once with the given strategy and seed, recording what
+    /// `observe` asks for.
+    pub fn run(&self, kind: StrategyKind, seed: u64, observe: Observe) -> RunResult {
+        self.run_with(kind, seed, observe, kind.build().as_mut())
     }
 
-    /// Run once fully instrumented: trace, telemetry, causal span links,
-    /// and the engine hot-path profiler all on. Observation only — the
-    /// simulated timeline is identical to [`Scenario::run_once`]; only
-    /// the recorded trace carries extra link fields, so its JSONL is a
-    /// superset of [`Scenario::run_observed`]'s.
-    pub fn run_instrumented(&self, strategy: StrategyKind, seed: u64) -> RunResult {
-        let mut observed = self.clone();
-        observed.trace = true;
-        observed.telemetry = true;
-        observed.causal = true;
-        observed.profile = true;
-        observed.run_once(strategy, seed)
-    }
-
-    /// Run once with the given strategy and seed.
-    pub fn run_once(&self, strategy: StrategyKind, seed: u64) -> RunResult {
-        let mut s = strategy.build();
-        run(self.config(strategy, seed), self.jobs.clone(), s.as_mut())
-    }
-
-    /// Like [`Scenario::run_observed`], but driving a caller-built
-    /// strategy object, so state the strategy retains after the run —
-    /// e.g. the Canary metadata db and its write-ahead log — can be
-    /// inspected or exported. `kind` must match the strategy for the
-    /// config (the ideal kind forces a failure-free run).
-    pub fn run_observed_with(
+    /// Like [`Scenario::run`], but driving a caller-built strategy
+    /// object, so state the strategy keeps after the run — e.g. the
+    /// Canary metadata db and its write-ahead log — can be read. `kind`
+    /// must match the strategy for the config (the ideal kind forces a
+    /// failure-free run).
+    pub fn run_with(
         &self,
         kind: StrategyKind,
-        strategy: &mut dyn FtStrategy,
         seed: u64,
+        observe: Observe,
+        strategy: &mut dyn FtStrategy,
     ) -> RunResult {
-        let mut observed = self.clone();
-        observed.trace = true;
-        observed.telemetry = true;
-        run(observed.config(kind, seed), observed.jobs.clone(), strategy)
+        run(
+            self.config(kind, seed, observe),
+            self.jobs.clone(),
+            strategy,
+        )
     }
 
     /// Run `reps` repetitions in parallel (distinct seeds) and aggregate.
     pub fn run_repeated(&self, strategy: StrategyKind, reps: u64) -> Repeated {
         let runs: Vec<RunResult> = parallel_map((0..reps).collect(), |rep| {
-            self.run_once(strategy, 1000 + rep * 7919)
+            self.run(strategy, 1000 + rep * 7919, Observe::NONE)
         });
         Repeated::from_runs(&runs, PRICING)
     }
@@ -220,7 +228,7 @@ mod tests {
     #[test]
     fn ideal_strategy_forces_zero_failures() {
         let s = Scenario::chameleon(0.5, jobs());
-        let r = s.run_once(StrategyKind::Ideal, 1);
+        let r = s.run(StrategyKind::Ideal, 1, Observe::NONE);
         assert_eq!(r.counters.function_failures, 0);
     }
 
@@ -245,7 +253,7 @@ mod tests {
             StrategyKind::RequestReplication(2),
             StrategyKind::ActiveStandby,
         ] {
-            let r = s.run_once(kind, 5);
+            let r = s.run(kind, 5, Observe::NONE);
             assert_eq!(r.completed_count(), 30, "{kind:?}");
         }
     }

@@ -14,7 +14,7 @@
 //! - turning causal recording on never changes the simulated outcome.
 
 use canary_core::ReplicationStrategyKind;
-use canary_experiments::{chaos, Scenario, StrategyKind};
+use canary_experiments::{chaos, Observe, Scenario, StrategyKind};
 use canary_metrics::{aggregate_blame, critical_path, critical_paths, span_forest};
 use canary_platform::{JobSpec, SpanId, TraceKind};
 use canary_workloads::WorkloadSpec;
@@ -41,7 +41,7 @@ proptest! {
         n in 3u32..25,
     ) {
         for kind in [StrategyKind::Retry, CANARY] {
-            let r = scenario(rate, n).run_instrumented(kind, seed);
+            let r = scenario(rate, n).run(kind, seed, Observe::ALL);
             // Spans on every event (unique ids are checked by the
             // forest build below).
             prop_assert!(r.trace.events.iter().all(|e| e.span.is_some()));
@@ -76,7 +76,7 @@ proptest! {
         seed in 0u64..1000,
         n in 3u32..25,
     ) {
-        let r = scenario(rate, n).run_instrumented(CANARY, seed);
+        let r = scenario(rate, n).run(CANARY, seed, Observe::ALL);
         let paths = critical_paths(&r.trace);
         prop_assert_eq!(paths.len(), r.jobs.len());
         for cp in &paths {
@@ -119,8 +119,8 @@ proptest! {
         n in 3u32..20,
     ) {
         let s = scenario(rate, n);
-        let plain = s.run_once(CANARY, seed);
-        let instrumented = s.run_instrumented(CANARY, seed);
+        let plain = s.run(CANARY, seed, Observe::NONE);
+        let instrumented = s.run(CANARY, seed, Observe::ALL);
         prop_assert_eq!(plain.finished_at, instrumented.finished_at);
         prop_assert_eq!(
             format!("{:?}", plain.jobs),
@@ -150,7 +150,7 @@ proptest! {
 fn chaos_seed42_recovered_job_has_exact_critical_path() {
     let spec = chaos::named("mixed").expect("mixed scenario exists");
     let scenario = chaos::demo_scenario(spec);
-    let r = scenario.run_instrumented(CANARY, 42);
+    let r = scenario.run(CANARY, 42, Observe::ALL);
     assert!(
         r.counters.function_failures > 0,
         "seed-42 mixed chaos must inject failures"
@@ -194,7 +194,7 @@ fn chaos_seed42_recovered_job_has_exact_critical_path() {
 /// `SpanId::NONE` sentinel and the JSONL writer omits them).
 #[test]
 fn causal_off_leaves_no_links() {
-    let r = scenario(0.3, 10).run_observed(CANARY, 7);
+    let r = scenario(0.3, 10).run(CANARY, 7, Observe::TRACE);
     assert!(r
         .trace
         .events

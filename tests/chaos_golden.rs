@@ -14,7 +14,7 @@
 
 use canary_core::{CanaryConfig, CanaryStrategy, DbOptions, ReplicationStrategyKind};
 use canary_experiments::{
-    chaos, telemetry_to_jsonl, trace_from_jsonl, trace_to_jsonl, StrategyKind,
+    chaos, telemetry_to_jsonl, trace_from_jsonl, trace_to_jsonl, Observe, StrategyKind,
 };
 use canary_platform::{RunResult, TraceKind};
 use golden::{check_golden, golden_path};
@@ -29,7 +29,11 @@ const CANARY: StrategyKind = StrategyKind::Canary(ReplicationStrategyKind::Dynam
 const SEEDS: [u64; 3] = [7, 42, 1337];
 
 fn mixed_run(seed: u64) -> RunResult {
-    chaos::demo_scenario(chaos::named("mixed").expect("mixed scenario")).run_observed(CANARY, seed)
+    chaos::demo_scenario(chaos::named("mixed").expect("mixed scenario")).run(
+        CANARY,
+        seed,
+        Observe::TRACE,
+    )
 }
 
 #[test]
@@ -89,8 +93,11 @@ fn controller_crash_trace_matches_golden() {
     // markers and — because recovery is lossless and instantaneous in
     // simulated time — an event stream otherwise identical to the mixed
     // golden for the same seed.
-    let result = chaos::demo_scenario(chaos::named("controller-crash").expect("scenario"))
-        .run_observed(CANARY, 42);
+    let result = chaos::demo_scenario(chaos::named("controller-crash").expect("scenario")).run(
+        CANARY,
+        42,
+        Observe::TRACE,
+    );
     assert_eq!(result.completed_count(), 24);
     assert_eq!(result.counters.controller_crashes, 1);
     assert_eq!(
@@ -142,7 +149,7 @@ fn canary_run(name: &str, seed: u64, db: DbOptions) -> (RunResult, CanaryStrateg
     let config = CanaryConfig::with_replication(ReplicationStrategyKind::Dynamic);
     let mut strategy = CanaryStrategy::with_db_options(config, db);
     let scenario = chaos::demo_scenario(chaos::named(name).expect("scenario"));
-    let result = scenario.run_observed_with(CANARY, &mut strategy, seed);
+    let result = scenario.run_with(CANARY, seed, Observe::TRACE, &mut strategy);
     assert_eq!(result.completed_count(), 24, "{name} seed {seed}");
     (result, strategy)
 }

@@ -19,7 +19,7 @@
 
 use canary_cluster::ControllerCrashSpec;
 use canary_core::ReplicationStrategyKind;
-use canary_experiments::{chaos, trace_to_jsonl, StrategyKind};
+use canary_experiments::{chaos, trace_to_jsonl, Observe, StrategyKind};
 use canary_platform::{RunResult, TraceKind};
 use proptest::prelude::*;
 use std::sync::OnceLock;
@@ -34,8 +34,11 @@ fn baseline(seed: u64) -> &'static (RunResult, String) {
         [OnceLock::new(), OnceLock::new(), OnceLock::new()];
     let slot = SEEDS.iter().position(|s| *s == seed).expect("pinned seed");
     BASELINES[slot].get_or_init(|| {
-        let r =
-            chaos::demo_scenario(chaos::named("mixed").expect("mixed")).run_observed(CANARY, seed);
+        let r = chaos::demo_scenario(chaos::named("mixed").expect("mixed")).run(
+            CANARY,
+            seed,
+            Observe::TRACE,
+        );
         let jsonl = trace_to_jsonl(&r.trace);
         (r, jsonl)
     })
@@ -57,7 +60,7 @@ fn crash_points(seed: u64) -> Vec<u64> {
 fn crashed_run(seed: u64, at_us: u64) -> RunResult {
     let mut spec = chaos::named("mixed").expect("mixed");
     spec.controller_crashes.push(ControllerCrashSpec { at_us });
-    chaos::demo_scenario(spec).run_observed(CANARY, seed)
+    chaos::demo_scenario(spec).run(CANARY, seed, Observe::TRACE)
 }
 
 /// The convergence check: crash markers aside, the crashed run must be
@@ -158,7 +161,7 @@ fn double_crash_converges() {
         ControllerCrashSpec { at_us: a },
         ControllerCrashSpec { at_us: b },
     ]);
-    let crashed = chaos::demo_scenario(spec).run_observed(CANARY, 42);
+    let crashed = chaos::demo_scenario(spec).run(CANARY, 42, Observe::TRACE);
     let (base, base_jsonl) = baseline(42);
     let filtered: String = trace_to_jsonl(&crashed.trace)
         .lines()

@@ -3,7 +3,7 @@
 
 use canary_cluster::{ChaosSpec, DegradeSpec, PartitionSpec, StoreOutageSpec};
 use canary_core::ReplicationStrategyKind;
-use canary_experiments::{trace_to_jsonl, Scenario, StrategyKind, PRICING};
+use canary_experiments::{trace_to_jsonl, Observe, Scenario, StrategyKind, PRICING};
 use canary_platform::{JobSpec, TraceKind};
 use canary_workloads::WorkloadSpec;
 use proptest::prelude::*;
@@ -76,7 +76,7 @@ proptest! {
         n in 5u32..40,
     ) {
         for kind in [StrategyKind::Retry, StrategyKind::Canary(ReplicationStrategyKind::Dynamic)] {
-            let r = scenario(rate, n).run_once(kind, seed);
+            let r = scenario(rate, n).run(kind, seed, Observe::NONE);
             prop_assert_eq!(r.completed_count(), n as usize);
         }
     }
@@ -89,8 +89,8 @@ proptest! {
         seed in 0u64..500,
     ) {
         let s = scenario(rate, 30);
-        let retry = s.run_once(StrategyKind::Retry, seed);
-        let canary = s.run_once(StrategyKind::Canary(ReplicationStrategyKind::Dynamic), seed);
+        let retry = s.run(StrategyKind::Retry, seed, Observe::NONE);
+        let canary = s.run(StrategyKind::Canary(ReplicationStrategyKind::Dynamic), seed, Observe::NONE);
         // Allow exact equality for the zero-failure case.
         prop_assert!(
             canary.total_recovery() <= retry.total_recovery(),
@@ -107,9 +107,9 @@ proptest! {
     #[test]
     fn ideal_is_a_lower_bound(rate in 0.0f64..0.5, seed in 0u64..500) {
         let s = scenario(rate, 25);
-        let ideal = s.run_once(StrategyKind::Ideal, seed);
+        let ideal = s.run(StrategyKind::Ideal, seed, Observe::NONE);
         for kind in [StrategyKind::Retry, StrategyKind::Canary(ReplicationStrategyKind::Dynamic)] {
-            let r = s.run_once(kind, seed);
+            let r = s.run(kind, seed, Observe::NONE);
             prop_assert!(
                 r.makespan().as_secs_f64() >= ideal.makespan().as_secs_f64() * 0.90,
                 "{kind:?}: {} vs ideal {}", r.makespan(), ideal.makespan()
@@ -122,8 +122,8 @@ proptest! {
     #[test]
     fn runs_are_pure_functions_of_seed(rate in 0.0f64..0.5, seed in 0u64..500) {
         let s = scenario(rate, 20);
-        let a = s.run_once(StrategyKind::Canary(ReplicationStrategyKind::Dynamic), seed);
-        let b = s.run_once(StrategyKind::Canary(ReplicationStrategyKind::Dynamic), seed);
+        let a = s.run(StrategyKind::Canary(ReplicationStrategyKind::Dynamic), seed, Observe::NONE);
+        let b = s.run(StrategyKind::Canary(ReplicationStrategyKind::Dynamic), seed, Observe::NONE);
         prop_assert_eq!(a.makespan(), b.makespan());
         prop_assert_eq!(a.total_recovery(), b.total_recovery());
         prop_assert_eq!(a.counters.function_failures, b.counters.function_failures);
@@ -136,7 +136,7 @@ proptest! {
     fn failure_counts_monotone_in_rate(seed in 0u64..200) {
         let mut last = 0u64;
         for rate in [0.0, 0.1, 0.3, 0.5] {
-            let r = scenario(rate, 30).run_once(StrategyKind::Retry, seed);
+            let r = scenario(rate, 30).run(StrategyKind::Retry, seed, Observe::NONE);
             // Not strictly monotone per-seed (different draws per rate),
             // but zero at zero and positive afterwards.
             if rate == 0.0 {
@@ -162,7 +162,7 @@ proptest! {
             StrategyKind::RequestReplication(2),
             StrategyKind::ActiveStandby,
         ] {
-            let r = s.run_once(kind, seed);
+            let r = s.run(kind, seed, Observe::NONE);
             prop_assert_eq!(r.completed_count(), 20, "{:?}", kind);
         }
     }
@@ -177,7 +177,7 @@ proptest! {
             ..ChaosSpec::default()
         };
         let r = chaos_scenario(0.3, 20, spec)
-            .run_observed(StrategyKind::Canary(ReplicationStrategyKind::Dynamic), seed);
+            .run(StrategyKind::Canary(ReplicationStrategyKind::Dynamic), seed, Observe::TRACE);
         prop_assert_eq!(r.completed_count(), 20);
         prop_assert_eq!(
             r.trace.count(|k| matches!(k, TraceKind::CheckpointRestored { .. })),
@@ -196,9 +196,9 @@ proptest! {
     #[test]
     fn ideal_is_a_lower_bound_under_chaos(spec in chaos_spec(), seed in 0u64..500) {
         let s = chaos_scenario(0.2, 20, spec);
-        let ideal = s.run_once(StrategyKind::Ideal, seed);
+        let ideal = s.run(StrategyKind::Ideal, seed, Observe::NONE);
         for kind in [StrategyKind::Retry, StrategyKind::Canary(ReplicationStrategyKind::Dynamic)] {
-            let r = s.run_once(kind, seed);
+            let r = s.run(kind, seed, Observe::NONE);
             prop_assert!(
                 r.makespan().as_secs_f64() >= ideal.makespan().as_secs_f64() * 0.90,
                 "{kind:?}: {} vs ideal {}", r.makespan(), ideal.makespan()
@@ -212,8 +212,8 @@ proptest! {
     fn chaos_traces_are_byte_identical_per_seed(spec in chaos_spec(), seed in 0u64..500) {
         let s = chaos_scenario(0.25, 15, spec);
         let kind = StrategyKind::Canary(ReplicationStrategyKind::Dynamic);
-        let a = trace_to_jsonl(&s.run_observed(kind, seed).trace);
-        let b = trace_to_jsonl(&s.run_observed(kind, seed).trace);
+        let a = trace_to_jsonl(&s.run(kind, seed, Observe::TRACE).trace);
+        let b = trace_to_jsonl(&s.run(kind, seed, Observe::TRACE).trace);
         prop_assert_eq!(a, b);
     }
 
@@ -229,7 +229,7 @@ proptest! {
             StrategyKind::RequestReplication(2),
             StrategyKind::ActiveStandby,
         ] {
-            common::assert_counts_fold_from_trace(&s.run_observed(kind, seed));
+            common::assert_counts_fold_from_trace(&s.run(kind, seed, Observe::TRACE));
         }
     }
 }

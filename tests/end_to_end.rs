@@ -2,7 +2,7 @@
 //! workload on the full simulated stack.
 
 use canary_core::ReplicationStrategyKind;
-use canary_experiments::{Scenario, StrategyKind, PRICING};
+use canary_experiments::{Observe, Scenario, StrategyKind, PRICING};
 use canary_platform::JobSpec;
 use canary_sim::SimDuration;
 use canary_workloads::{WorkloadKind, WorkloadSpec};
@@ -25,7 +25,7 @@ fn every_strategy_completes_every_workload() {
     ];
     for kind in WorkloadKind::ALL {
         for strategy in strategies {
-            let r = scenario(kind, 20, 0.2).run_once(strategy, 3);
+            let r = scenario(kind, 20, 0.2).run(strategy, 3, Observe::NONE);
             assert_eq!(r.completed_count(), 20, "{kind:?} under {strategy:?}");
             assert!(r.makespan() > SimDuration::ZERO);
         }
@@ -36,8 +36,12 @@ fn every_strategy_completes_every_workload() {
 fn canary_beats_retry_on_recovery_for_every_workload() {
     for kind in WorkloadKind::ALL {
         let s = scenario(kind, 50, 0.2);
-        let retry = s.run_once(StrategyKind::Retry, 9);
-        let canary = s.run_once(StrategyKind::Canary(ReplicationStrategyKind::Dynamic), 9);
+        let retry = s.run(StrategyKind::Retry, 9, Observe::NONE);
+        let canary = s.run(
+            StrategyKind::Canary(ReplicationStrategyKind::Dynamic),
+            9,
+            Observe::NONE,
+        );
         assert!(
             canary.total_recovery() < retry.total_recovery(),
             "{kind:?}: canary {} vs retry {}",
@@ -53,7 +57,7 @@ fn failure_schedules_are_strategy_invariant() {
     // seed — the precondition for attributing differences to strategies.
     let s = scenario(WorkloadKind::WebService, 80, 0.25);
     let fail_pattern = |k: StrategyKind| -> Vec<bool> {
-        s.run_once(k, 17)
+        s.run(k, 17, Observe::NONE)
             .fns
             .iter()
             .map(|f| f.failures > 0)
@@ -70,7 +74,7 @@ fn failure_schedules_are_strategy_invariant() {
 fn cost_ordering_matches_paper_at_moderate_rates() {
     // ideal ≤ canary < RR/AS at a moderate failure rate.
     let s = scenario(WorkloadKind::WebService, 100, 0.15);
-    let cost = |k: StrategyKind| PRICING.cost(&s.run_once(k, 23));
+    let cost = |k: StrategyKind| PRICING.cost(&s.run(k, 23, Observe::NONE));
     let ideal = cost(StrategyKind::Ideal);
     let canary = cost(StrategyKind::Canary(ReplicationStrategyKind::Dynamic));
     let rr = cost(StrategyKind::RequestReplication(2));
@@ -95,7 +99,11 @@ fn mixed_runtime_jobs_share_one_cluster() {
             ),
         ],
     );
-    let r = scenario.run_once(StrategyKind::Canary(ReplicationStrategyKind::Dynamic), 31);
+    let r = scenario.run(
+        StrategyKind::Canary(ReplicationStrategyKind::Dynamic),
+        31,
+        Observe::NONE,
+    );
     assert_eq!(r.completed_count(), 60);
     assert_eq!(r.jobs.len(), 3);
     for j in &r.jobs {
@@ -108,7 +116,11 @@ fn node_failures_with_canary_complete_and_recover() {
     let mut s = scenario(WorkloadKind::GraphBfs, 60, 0.1);
     s.node_failure_rate = 0.2;
     s.node_failure_horizon_s = 90;
-    let r = s.run_once(StrategyKind::Canary(ReplicationStrategyKind::Dynamic), 37);
+    let r = s.run(
+        StrategyKind::Canary(ReplicationStrategyKind::Dynamic),
+        37,
+        Observe::NONE,
+    );
     assert_eq!(r.completed_count(), 60);
 }
 
@@ -118,7 +130,7 @@ fn higher_failure_rates_monotonically_increase_retry_recovery() {
     for rate in [0.05, 0.15, 0.30, 0.50] {
         let s = scenario(WorkloadKind::WebService, 100, rate);
         let rec = s
-            .run_once(StrategyKind::Retry, 41)
+            .run(StrategyKind::Retry, 41, Observe::NONE)
             .total_recovery()
             .as_secs_f64();
         assert!(

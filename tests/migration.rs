@@ -20,7 +20,7 @@
 //! and review the golden diff like any other code change.
 
 use canary_core::ReplicationStrategyKind;
-use canary_experiments::{chaos, telemetry_to_jsonl, trace_to_jsonl, StrategyKind};
+use canary_experiments::{chaos, telemetry_to_jsonl, trace_to_jsonl, Observe, StrategyKind};
 use canary_platform::{RunResult, TraceKind};
 use golden::check_golden;
 use std::collections::HashSet;
@@ -35,8 +35,11 @@ const MIGRATE: StrategyKind = StrategyKind::CanaryMigrate;
 const SEEDS: [u64; 3] = [7, 42, 1337];
 
 fn migration_run(strategy: StrategyKind, seed: u64) -> RunResult {
-    chaos::demo_scenario(chaos::named("migration").expect("migration scenario"))
-        .run_observed(strategy, seed)
+    chaos::demo_scenario(chaos::named("migration").expect("migration scenario")).run(
+        strategy,
+        seed,
+        Observe::TRACE,
+    )
 }
 
 #[test]

@@ -12,7 +12,7 @@
 //!
 //! and review the golden diff like any other code change.
 
-use canary_experiments::{trace_to_jsonl, Scenario, StrategyKind};
+use canary_experiments::{trace_to_jsonl, Observe, Scenario, StrategyKind};
 use canary_platform::{JobSpec, RunResult, TraceKind};
 use canary_workloads::{WorkloadKind, WorkloadSpec};
 use golden::check_golden;
@@ -28,7 +28,7 @@ fn crash_run(strategy: StrategyKind, seed: u64) -> RunResult {
     let mut scenario = Scenario::chameleon(0.15, vec![JobSpec::new(web, FUNCTIONS)]);
     scenario.node_failure_rate = 0.4;
     scenario.node_failure_horizon_s = 40;
-    scenario.run_observed(strategy, seed)
+    scenario.run(strategy, seed, Observe::TRACE)
 }
 
 /// Run `strategy` at `seed`, check that every function completes and

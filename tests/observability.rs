@@ -3,7 +3,7 @@
 
 use canary_core::ReplicationStrategyKind;
 use canary_experiments::export::kind_name;
-use canary_experiments::{trace_from_jsonl, trace_to_jsonl, Scenario, StrategyKind};
+use canary_experiments::{trace_from_jsonl, trace_to_jsonl, Observe, Scenario, StrategyKind};
 use canary_platform::{JobSpec, Phase, TraceKind};
 use canary_workloads::{WorkloadKind, WorkloadSpec};
 use std::path::PathBuf;
@@ -34,8 +34,8 @@ fn obs_scenario() -> Scenario {
 /// story in the right grammar.
 #[test]
 fn golden_trace_is_deterministic_and_well_formed() {
-    let a = obs_scenario().run_observed(CANARY, 42);
-    let b = obs_scenario().run_observed(CANARY, 42);
+    let a = obs_scenario().run(CANARY, 42, Observe::TRACE);
+    let b = obs_scenario().run(CANARY, 42, Observe::TRACE);
     let kinds_a: Vec<&str> = a.trace.events.iter().map(|e| kind_name(&e.kind)).collect();
     let kinds_b: Vec<&str> = b.trace.events.iter().map(|e| kind_name(&e.kind)).collect();
     assert_eq!(kinds_a, kinds_b, "same seed must give identical traces");
@@ -71,8 +71,8 @@ fn golden_trace_is_deterministic_and_well_formed() {
 #[test]
 fn observed_run_matches_unobserved_run() {
     let scenario = obs_scenario();
-    let plain = scenario.run_once(CANARY, 42);
-    let observed = scenario.run_observed(CANARY, 42);
+    let plain = scenario.run(CANARY, 42, Observe::NONE);
+    let observed = scenario.run(CANARY, 42, Observe::TRACE);
     assert!(plain.trace.events.is_empty());
     assert!(!plain.telemetry.enabled);
     assert!(!observed.trace.events.is_empty());
@@ -99,7 +99,7 @@ fn observed_run_matches_unobserved_run() {
 /// with real samples.
 #[test]
 fn observed_run_records_recovery_histograms() {
-    let r = obs_scenario().run_observed(CANARY, 42);
+    let r = obs_scenario().run(CANARY, 42, Observe::TRACE);
     let snap = &r.telemetry;
     for phase in [Phase::CheckpointWrite, Phase::RecoveryE2E] {
         let p = snap
@@ -274,5 +274,279 @@ fn canaryctl_rejects_out_of_range_flags() {
             stderr.lines().any(|l| l.starts_with("usage: canaryctl")),
             "{argv:?} printed no usage line:\n{stderr}"
         );
+    }
+}
+
+/// The output flags the default command and `chaos` share, each with
+/// the file it writes (`None` for the flags that print to stdout).
+const OUTPUT_FLAGS: [(&str, Option<&str>); 7] = [
+    ("--trace-out", Some("trace.jsonl")),
+    ("--telemetry-out", Some("telemetry.jsonl")),
+    ("--timeline", None),
+    ("--perfetto-out", Some("perfetto.json")),
+    ("--spans-out", Some("spans.jsonl")),
+    ("--blame", None),
+    ("--wal-out", Some("wal.bin")),
+];
+
+/// The flags whose outputs read causal links.
+const CAUSAL_FLAGS: [&str; 3] = ["--perfetto-out", "--spans-out", "--blame"];
+
+/// The trace JSONL keys only causal observation writes.
+const CAUSAL_KEYS: [&str; 4] = ["span", "parent", "cause", "cost_us"];
+
+/// What one `canaryctl chaos --scenario mixed --seed 42` run with the
+/// given output flags printed and wrote.
+struct ChaosOutputs {
+    /// Non-blank stdout lines, sorted.
+    stdout: Vec<String>,
+    /// Each file flag's bytes, by flag.
+    files: Vec<(&'static str, Vec<u8>)>,
+}
+
+fn chaos_outputs(
+    dir: &std::path::Path,
+    flags: &[(&'static str, Option<&'static str>)],
+) -> ChaosOutputs {
+    std::fs::create_dir_all(dir).unwrap();
+    let mut cmd = Command::new(env!("CARGO_BIN_EXE_canaryctl"));
+    cmd.current_dir(dir)
+        .args(["chaos", "--scenario", "mixed", "--seed", "42"]);
+    for (flag, file) in flags {
+        cmd.arg(flag);
+        cmd.args(file);
+    }
+    let out = cmd.output().expect("canaryctl runs");
+    assert!(
+        out.status.success(),
+        "{flags:?} failed:\n{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let mut stdout: Vec<String> = String::from_utf8(out.stdout)
+        .unwrap()
+        .lines()
+        .filter(|l| !l.trim().is_empty())
+        .map(str::to_string)
+        .collect();
+    stdout.sort();
+    let files = flags
+        .iter()
+        .filter_map(|(flag, file)| {
+            let path = dir.join((*file)?);
+            Some((
+                *flag,
+                std::fs::read(&path).unwrap_or_else(|e| panic!("{flag}: {e}")),
+            ))
+        })
+        .collect();
+    ChaosOutputs { stdout, files }
+}
+
+/// A trace JSONL file with the causal keys dropped from every line.
+fn without_causal_keys(jsonl: &[u8]) -> String {
+    let mut out = String::new();
+    for line in std::str::from_utf8(jsonl).unwrap().lines() {
+        let body = line.trim_start_matches('{').trim_end_matches('}');
+        let kept: Vec<&str> = body
+            .split(',')
+            .filter(|field| {
+                let key = field.split(':').next().unwrap_or("").trim_matches('"');
+                !CAUSAL_KEYS.contains(&key)
+            })
+            .collect();
+        out.push('{');
+        out.push_str(&kept.join(","));
+        out.push_str("}\n");
+    }
+    out
+}
+
+/// The observation rule: each output equals what its flag writes alone,
+/// whichever other output flag is also given. Stdout holds exactly the
+/// run's summary plus the lines each flag prints alone. The one
+/// exception is `--trace-out` next to a causal output, which also
+/// carries the link fields; with those dropped it is the same file.
+#[test]
+fn no_output_flag_changes_another_flags_output() {
+    let root = std::env::temp_dir().join(format!("canary-pairs-{}", std::process::id()));
+    let base = chaos_outputs(&root.join("none"), &[]);
+    let alone: Vec<ChaosOutputs> = OUTPUT_FLAGS
+        .iter()
+        .enumerate()
+        .map(|(i, flag)| chaos_outputs(&root.join(format!("alone{i}")), &[*flag]))
+        .collect();
+    // The stdout lines a flag adds to the run's summary.
+    let added = |i: usize| -> Vec<String> {
+        let mut rest = alone[i].stdout.clone();
+        for line in &base.stdout {
+            let at = rest
+                .iter()
+                .position(|l| l == line)
+                .expect("summary line kept");
+            rest.remove(at);
+        }
+        rest
+    };
+    let mut failures = Vec::new();
+    for (i, &a) in OUTPUT_FLAGS.iter().enumerate() {
+        for (j, &b) in OUTPUT_FLAGS.iter().enumerate().skip(i + 1) {
+            let pair = chaos_outputs(&root.join(format!("pair{i}{j}")), &[a, b]);
+            let mut expected = base.stdout.clone();
+            expected.extend(added(i));
+            expected.extend(added(j));
+            expected.sort();
+            if pair.stdout != expected {
+                failures.push(format!("{} {}: stdout", a.0, b.0));
+            }
+            let causal = CAUSAL_FLAGS.contains(&a.0) || CAUSAL_FLAGS.contains(&b.0);
+            for (flag, bytes) in &pair.files {
+                let own = OUTPUT_FLAGS.iter().position(|(f, _)| f == flag).unwrap();
+                let (_, alone_bytes) = &alone[own].files[0];
+                let same = if *flag == "--trace-out" && causal {
+                    without_causal_keys(bytes) == without_causal_keys(alone_bytes)
+                } else {
+                    bytes == alone_bytes
+                };
+                if !same {
+                    failures.push(format!("{} {}: {flag} file", a.0, b.0));
+                }
+            }
+        }
+    }
+    std::fs::remove_dir_all(&root).ok();
+    assert!(
+        failures.is_empty(),
+        "outputs changed in pairs: {failures:#?}"
+    );
+}
+
+/// `--wal-out` works with every Canary kind: a Canary-Migrate run dumps
+/// its WAL image without changing its pinned trace, and the image reads
+/// back through `canaryctl wal`.
+#[test]
+fn wal_out_dumps_a_canary_migrate_run() {
+    let dir = std::env::temp_dir().join(format!("canary-walmig-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let ctl = env!("CARGO_BIN_EXE_canaryctl");
+    let out = Command::new(ctl)
+        .current_dir(&dir)
+        .args([
+            "chaos",
+            "--scenario",
+            "migration",
+            "--strategy",
+            "canary-migrate",
+        ])
+        .args([
+            "--seed",
+            "42",
+            "--trace-out",
+            "trace.jsonl",
+            "--wal-out",
+            "wal.bin",
+        ])
+        .output()
+        .expect("canaryctl runs");
+    assert_eq!(
+        out.status.code(),
+        Some(0),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    golden::check_golden(
+        "chaos_migration_seed42.jsonl",
+        std::fs::read(dir.join("trace.jsonl")).unwrap(),
+    );
+    let wal = Command::new(ctl)
+        .current_dir(&dir)
+        .args(["wal", "--in", "wal.bin"])
+        .output()
+        .expect("canaryctl runs");
+    assert_eq!(
+        wal.status.code(),
+        Some(0),
+        "{}",
+        String::from_utf8_lossy(&wal.stderr)
+    );
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// The WAL is the Canary metadata db's log, so `--wal-out` with a
+/// baseline as the observed strategy is a usage error: `chaos` with
+/// Retry, and the default command, whose strategy list starts with
+/// Ideal.
+#[test]
+fn wal_out_without_a_canary_strategy_is_a_usage_error() {
+    let dir = std::env::temp_dir().join(format!("canary-walerr-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let cases: &[&[&str]] = &[
+        &["chaos", "--scenario", "mixed", "--strategy", "retry"],
+        &[],
+    ];
+    for argv in cases {
+        let out = Command::new(env!("CARGO_BIN_EXE_canaryctl"))
+            .current_dir(&dir)
+            .args(*argv)
+            .args(["--wal-out", "wal.bin"])
+            .output()
+            .expect("canaryctl runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{argv:?}:\n{stderr}");
+        assert!(
+            stderr.contains("--wal-out requires a canary strategy"),
+            "{argv:?}:\n{stderr}"
+        );
+        assert!(!dir.join("wal.bin").exists(), "{argv:?} wrote an image");
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Each command's usage text names every strategy the parser accepts,
+/// and both run commands name every output flag they accept.
+#[test]
+fn usage_names_every_strategy_and_output_flag() {
+    let strategies = [
+        "canary",
+        "canary-ar",
+        "canary-lr",
+        "canary-migrate",
+        "retry",
+        "ideal",
+        "rr",
+        "as",
+    ];
+    let cases: [(&[&str], bool); 3] = [
+        (&["--help"], true),
+        (&["chaos", "--help"], true),
+        (&["load", "--help"], false),
+    ];
+    for (argv, run_command) in cases {
+        let out = Command::new(env!("CARGO_BIN_EXE_canaryctl"))
+            .args(argv)
+            .output()
+            .expect("canaryctl runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{argv:?}:\n{stderr}");
+        let listed: Vec<&str> = stderr
+            .split("[--strategy ")
+            .nth(1)
+            .and_then(|rest| rest.split(']').next())
+            .unwrap_or_else(|| panic!("{argv:?} lists no strategies:\n{stderr}"))
+            .split('|')
+            .collect();
+        assert_eq!(listed, strategies, "{argv:?}");
+        if run_command {
+            for (flag, _) in OUTPUT_FLAGS {
+                assert!(stderr.contains(flag), "{argv:?} omits {flag}:\n{stderr}");
+            }
+        }
+    }
+    // And the parser accepts every listed name.
+    for name in strategies {
+        let out = Command::new(env!("CARGO_BIN_EXE_canaryctl"))
+            .args(["chaos", "--scenario", "mixed", "--strategy", name])
+            .output()
+            .expect("canaryctl runs");
+        assert_eq!(out.status.code(), Some(0), "--strategy {name}");
     }
 }

@@ -14,7 +14,7 @@
 use canary_cluster::{ChaosSpec, DegradeSpec, PartitionSpec, StoreOutageSpec};
 use canary_core::ReplicationStrategyKind;
 use canary_experiments::load::open_loop_jobs;
-use canary_experiments::{telemetry_to_jsonl, trace_to_jsonl, Scenario, StrategyKind};
+use canary_experiments::{telemetry_to_jsonl, trace_to_jsonl, Observe, Scenario, StrategyKind};
 use canary_platform::{JobId, RunResult, Trace, TraceKind};
 use golden::check_golden;
 
@@ -94,7 +94,7 @@ fn assert_fifo(trace: &Trace) {
 
 #[test]
 fn conservation_holds_under_light_load() {
-    let r = open_loop(0.5, 20, 16, 0.15).run_observed(CANARY, 42);
+    let r = open_loop(0.5, 20, 16, 0.15).run(CANARY, 42, Observe::TRACE);
     assert_eq!(r.completed_count(), 20);
     assert_conservation(&r.trace);
     assert_fifo(&r.trace);
@@ -107,7 +107,7 @@ fn fifo_no_starvation_under_sustained_overload() {
     // 4 jobs/s against a gate that sustains well under 2 jobs/s: the
     // queue builds for the whole run, yet every job is eventually
     // admitted, in arrival order.
-    let r = open_loop(4.0, 40, 8, 0.15).run_observed(CANARY, 42);
+    let r = open_loop(4.0, 40, 8, 0.15).run(CANARY, 42, Observe::TRACE);
     assert_eq!(r.completed_count(), 40);
     assert!(r.counters.jobs_queued > 20, "overload must queue most jobs");
     assert_conservation(&r.trace);
@@ -121,7 +121,7 @@ fn fifo_no_starvation_under_sustained_overload() {
 
 #[test]
 fn queue_wait_accounting_is_consistent() {
-    let r = open_loop(4.0, 30, 8, 0.0).run_observed(CANARY, 7);
+    let r = open_loop(4.0, 30, 8, 0.0).run(CANARY, 7, Observe::TRACE);
     for j in &r.jobs {
         let admitted = j.admitted_at.expect("all jobs admitted");
         assert!(admitted >= j.submitted_at, "admission after arrival");
@@ -139,8 +139,8 @@ fn queue_wait_accounting_is_consistent() {
 #[test]
 fn same_seed_replays_byte_identical_traces() {
     let scenario = open_loop(3.0, 25, 8, 0.2);
-    let a = scenario.run_observed(CANARY, 1337);
-    let b = scenario.run_observed(CANARY, 1337);
+    let a = scenario.run(CANARY, 1337, Observe::TRACE);
+    let b = scenario.run(CANARY, 1337, Observe::TRACE);
     assert_eq!(trace_to_jsonl(&a.trace), trace_to_jsonl(&b.trace));
 }
 
@@ -183,7 +183,7 @@ fn chaos_and_open_loop_compose_across_strategies() {
         for strategy in strategies {
             let mut s = open_loop(3.0, 20, 8, 0.2);
             s.chaos = chaos_spec();
-            let r = s.run_observed(strategy, seed);
+            let r = s.run(strategy, seed, Observe::TRACE);
             assert_eq!(
                 r.completed_count(),
                 20,
@@ -205,7 +205,7 @@ fn admission_queue_survives_controller_restart() {
     s.chaos
         .controller_crashes
         .push(canary_cluster::ControllerCrashSpec { at_us: 6_000_001 });
-    let r = s.run_observed(CANARY, 42);
+    let r = s.run(CANARY, 42, Observe::TRACE);
 
     // The crash must land while jobs are actually waiting: replay the
     // trace to the crash marker and check the queue depth there.
@@ -233,7 +233,7 @@ fn admission_queue_survives_controller_restart() {
 
     // And the restart is invisible to the queue: the uninterrupted run
     // admits the same jobs in the same order at the same times.
-    let base = open_loop(4.0, 40, 8, 0.15).run_observed(CANARY, 42);
+    let base = open_loop(4.0, 40, 8, 0.15).run(CANARY, 42, Observe::TRACE);
     let filtered: String = trace_to_jsonl(&r.trace)
         .lines()
         .filter(|l| {
@@ -251,7 +251,7 @@ fn admission_queue_survives_controller_restart() {
 fn golden_run() -> RunResult {
     // Small enough for a reviewable golden, busy enough to exercise
     // arrive → queue → dequeue → submit and a failure recovery.
-    open_loop(2.5, 8, 4, 0.25).run_observed(CANARY, 42)
+    open_loop(2.5, 8, 4, 0.25).run(CANARY, 42, Observe::TRACE)
 }
 
 #[test]
