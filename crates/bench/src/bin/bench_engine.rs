@@ -90,13 +90,12 @@ struct QueryRow {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let quick = args.iter().any(|a| a == "--quick");
-    let out = args
-        .iter()
-        .position(|a| a == "--out")
-        .and_then(|i| args.get(i + 1).cloned())
-        .unwrap_or_else(|| "BENCH_engine.json".to_string());
+    let (quick, out) =
+        canary_experiments::quick_and_out(std::env::args().skip(1), "BENCH_engine.json")
+            .unwrap_or_else(|e| {
+                eprintln!("{e}\nusage: bench_engine [--quick] [--out PATH]");
+                std::process::exit(2)
+            });
 
     let (repeats, budget_ms, e2e_invocations) = if quick { (3, 5, 200) } else { (7, 40, 2_000) };
 

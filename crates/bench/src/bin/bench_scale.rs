@@ -366,13 +366,12 @@ fn main() {
     // so every profiled tier (engine runs and the million tier alike)
     // gets real alloc attribution.
     canary_platform::install_alloc_counter(allocs);
-    let args: Vec<String> = std::env::args().collect();
-    let quick = args.iter().any(|a| a == "--quick");
-    let out = args
-        .iter()
-        .position(|a| a == "--out")
-        .and_then(|i| args.get(i + 1).cloned())
-        .unwrap_or_else(|| "BENCH_scale.json".to_string());
+    let (quick, out) =
+        canary_experiments::quick_and_out(std::env::args().skip(1), "BENCH_scale.json")
+            .unwrap_or_else(|e| {
+                eprintln!("{e}\nusage: bench_scale [--quick] [--out PATH]");
+                std::process::exit(2)
+            });
 
     // Engine points stay at 10k jobs: the event loop itself scales
     // super-linearly in the closed-batch job count (a pre-existing

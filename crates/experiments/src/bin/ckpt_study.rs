@@ -324,24 +324,12 @@ fn report_json(
 }
 
 fn main() {
-    let mut quick = false;
-    let mut out = "BENCH_ckpt.json".to_string();
-    let mut it = std::env::args().skip(1);
-    while let Some(flag) = it.next() {
-        match flag.as_str() {
-            "--quick" => quick = true,
-            "--out" => {
-                out = it.next().unwrap_or_else(|| {
-                    eprintln!("missing value for --out");
-                    exit(2)
-                })
-            }
-            other => {
-                eprintln!("unknown flag: {other}\nusage: ckpt_study [--quick] [--out PATH]");
+    let (quick, out) =
+        canary_experiments::quick_and_out(std::env::args().skip(1), "BENCH_ckpt.json")
+            .unwrap_or_else(|e| {
+                eprintln!("{e}\nusage: ckpt_study [--quick] [--out PATH]");
                 exit(2)
-            }
-        }
-    }
+            });
     let (seeds, functions, per_fn, mode): (&[u64], u64, u32, &str) = if quick {
         (&SEEDS[1..2], 4, 16, "quick")
     } else {

@@ -92,24 +92,12 @@ fn verify_shape(cfg: &LoadConfig, points: &[LoadPoint]) -> Vec<String> {
 }
 
 fn main() {
-    let mut quick = false;
-    let mut out = "BENCH_load.json".to_string();
-    let mut it = std::env::args().skip(1);
-    while let Some(flag) = it.next() {
-        match flag.as_str() {
-            "--quick" => quick = true,
-            "--out" => {
-                out = it.next().unwrap_or_else(|| {
-                    eprintln!("missing value for --out");
-                    exit(2)
-                })
-            }
-            other => {
-                eprintln!("unknown flag: {other}\nusage: load_study [--quick] [--out PATH]");
+    let (quick, out) =
+        canary_experiments::quick_and_out(std::env::args().skip(1), "BENCH_load.json")
+            .unwrap_or_else(|e| {
+                eprintln!("{e}\nusage: load_study [--quick] [--out PATH]");
                 exit(2)
-            }
-        }
-    }
+            });
     let (cfg, mode) = if quick {
         (LoadConfig::quick(), "quick")
     } else {

@@ -204,24 +204,12 @@ fn report_json(mode: &str, sweeps: &[Sweep], reopen: &Reopen) -> String {
 }
 
 fn main() {
-    let mut quick = false;
-    let mut out = "BENCH_wal.json".to_string();
-    let mut it = std::env::args().skip(1);
-    while let Some(flag) = it.next() {
-        match flag.as_str() {
-            "--quick" => quick = true,
-            "--out" => {
-                out = it.next().unwrap_or_else(|| {
-                    eprintln!("missing value for --out");
-                    exit(2)
-                })
-            }
-            other => {
-                eprintln!("unknown flag: {other}\nusage: wal_study [--quick] [--out PATH]");
+    let (quick, out) =
+        canary_experiments::quick_and_out(std::env::args().skip(1), "BENCH_wal.json")
+            .unwrap_or_else(|e| {
+                eprintln!("{e}\nusage: wal_study [--quick] [--out PATH]");
                 exit(2)
-            }
-        }
-    }
+            });
     let (seeds, stride, iterations, mode): (&[u64], usize, u32, &str) = if quick {
         (&SEEDS[1..2], 8, 50, "quick")
     } else {

@@ -734,45 +734,16 @@ impl ObsOptions {
             ..Observe::TRACE
         }
     }
-
-    /// Extract `--trace-out PATH`, `--telemetry-out PATH`, `--timeline`,
-    /// `--perfetto-out PATH`, `--spans-out PATH`, `--blame`, and
-    /// `--wal-out PATH` from an argument list, returning the options and
-    /// the remaining (unconsumed) arguments.
-    pub fn extract(args: &[String]) -> Result<(ObsOptions, Vec<String>), String> {
-        let mut opts = ObsOptions::default();
-        let mut rest = Vec::new();
-        let mut it = args.iter();
-        while let Some(a) = it.next() {
-            let path = match a.as_str() {
-                "--trace-out" => &mut opts.trace_out,
-                "--telemetry-out" => &mut opts.telemetry_out,
-                "--perfetto-out" => &mut opts.perfetto_out,
-                "--spans-out" => &mut opts.spans_out,
-                "--wal-out" => &mut opts.wal_out,
-                "--timeline" => {
-                    opts.timeline = true;
-                    continue;
-                }
-                "--blame" => {
-                    opts.blame = true;
-                    continue;
-                }
-                _ => {
-                    rest.push(a.clone());
-                    continue;
-                }
-            };
-            let value = it.next().ok_or_else(|| format!("missing value for {a}"))?;
-            *path = Some(PathBuf::from(value));
-        }
-        Ok((opts, rest))
-    }
 }
 
-/// Write/print everything [`ObsOptions`] asks for from one run result,
-/// except the WAL image, which the run itself writes.
-pub fn export_result(result: &RunResult, opts: &ObsOptions) -> std::io::Result<()> {
+/// Write everything [`ObsOptions`] asks for from one run result: each
+/// file, and the timeline and blame tables to `out`. The WAL image is the
+/// run's to write.
+pub fn export_result(
+    result: &RunResult,
+    opts: &ObsOptions,
+    out: &mut impl std::io::Write,
+) -> std::io::Result<()> {
     if let Some(path) = &opts.trace_out {
         std::fs::write(path, trace_to_jsonl(&result.trace))?;
         eprintln!(
@@ -794,16 +765,17 @@ pub fn export_result(result: &RunResult, opts: &ObsOptions) -> std::io::Result<(
         eprintln!("spans -> {}", path.display());
     }
     if opts.timeline {
-        print!("{}", canary_metrics::swimlane(&result.trace));
-        println!();
-        print!("{}", canary_metrics::recovery_breakdown(&result.trace));
-        println!();
-        print!("{}", canary_metrics::counters_summary(&result.counters));
-        println!();
-        print!("{}", canary_metrics::telemetry_summary(&result.telemetry));
+        write!(
+            out,
+            "{}\n{}\n{}\n{}",
+            canary_metrics::swimlane(&result.trace),
+            canary_metrics::recovery_breakdown(&result.trace),
+            canary_metrics::counters_summary(&result.counters),
+            canary_metrics::telemetry_summary(&result.telemetry)
+        )?;
     }
     if opts.blame {
-        print!("{}", canary_metrics::blame_report(&result.trace));
+        write!(out, "{}", canary_metrics::blame_report(&result.trace))?;
     }
     Ok(())
 }
@@ -1069,40 +1041,24 @@ mod tests {
     }
 
     #[test]
-    fn obs_options_extract_leaves_other_flags() {
-        let args: Vec<String> = ["--seed", "7", "--trace-out", "/tmp/t.jsonl", "--timeline"]
-            .iter()
-            .map(|s| s.to_string())
-            .collect();
-        let (opts, rest) = ObsOptions::extract(&args).unwrap();
-        assert_eq!(
-            opts.trace_out.as_deref(),
-            Some(std::path::Path::new("/tmp/t.jsonl"))
-        );
-        assert!(opts.timeline);
-        assert!(opts.telemetry_out.is_none());
-        assert_eq!(rest, vec!["--seed".to_string(), "7".to_string()]);
-        assert!(ObsOptions::extract(&["--trace-out".to_string()]).is_err());
-    }
-
-    #[test]
     fn obs_options_extract_causal_flags() {
-        let args: Vec<String> = [
-            "--perfetto-out",
-            "/tmp/p.json",
-            "--spans-out",
-            "/tmp/s.jsonl",
-        ]
-        .iter()
-        .map(|s| s.to_string())
-        .collect();
-        let (opts, rest) = ObsOptions::extract(&args).unwrap();
-        assert!(rest.is_empty() && opts.any());
+        let opts = ObsOptions {
+            perfetto_out: Some("/tmp/p.json".into()),
+            spans_out: Some("/tmp/s.jsonl".into()),
+            ..ObsOptions::default()
+        };
+        assert!(opts.any());
         let observe = opts.observe();
         assert!(observe.trace && observe.causal && !observe.profile);
-        let (opts, _) = ObsOptions::extract(&["--blame".to_string()]).unwrap();
-        assert!(opts.blame && opts.observe().causal);
-        let (opts, _) = ObsOptions::extract(&["--timeline".to_string()]).unwrap();
+        let opts = ObsOptions {
+            blame: true,
+            ..ObsOptions::default()
+        };
+        assert!(opts.any() && opts.observe().causal);
+        let opts = ObsOptions {
+            timeline: true,
+            ..ObsOptions::default()
+        };
         assert_eq!(opts.observe(), Observe::TRACE);
     }
 

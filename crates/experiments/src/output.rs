@@ -1,7 +1,8 @@
-//! Emission of figure results: ASCII tables to stdout, CSV + Markdown to
-//! the `results/` directory.
+//! Emission of figure results: CSV + Markdown files under the `results/`
+//! directory. Printing a set (`canary_metrics::ascii_table`) is the
+//! caller's choice.
 
-use canary_metrics::{ascii_table, csv, markdown_table};
+use canary_metrics::{csv, markdown_table};
 use canary_sim::SeriesSet;
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -9,8 +10,8 @@ use std::path::{Path, PathBuf};
 /// Directory figure outputs are written to (workspace-relative).
 pub const RESULTS_DIR: &str = "results";
 
-/// Print each set as an ASCII table and write `results/<name>_<i>.csv`
-/// and `.md`. Returns the paths written.
+/// Write each set as `results/<name>_<i>.csv` and `.md`. Returns the
+/// paths written.
 pub fn emit(name: &str, sets: &[SeriesSet]) -> std::io::Result<Vec<PathBuf>> {
     emit_to(Path::new(RESULTS_DIR), name, sets)
 }
@@ -30,7 +31,6 @@ pub fn emit_to(dir: &Path, name: &str, sets: &[SeriesSet]) -> std::io::Result<Ve
     fs::create_dir_all(dir)?;
     let mut written = Vec::new();
     for (i, set) in sets.iter().enumerate() {
-        println!("{}", ascii_table(set));
         let stem = set_stem(name, i, sets.len());
         let csv_path = dir.join(format!("{stem}.csv"));
         fs::write(&csv_path, csv(set))?;

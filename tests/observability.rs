@@ -5,6 +5,7 @@ use canary_core::ReplicationStrategyKind;
 use canary_experiments::export::kind_name;
 use canary_experiments::{trace_from_jsonl, trace_to_jsonl, Observe, Scenario, StrategyKind};
 use canary_platform::{JobSpec, Phase, TraceKind};
+use canary_sim::SimRng;
 use canary_workloads::{WorkloadKind, WorkloadSpec};
 use std::path::PathBuf;
 use std::process::Command;
@@ -243,27 +244,55 @@ fn canaryctl_fig_writes_the_pinned_csvs() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// The start of each command's usage line.
+const RUN_USAGE: &str = "usage: canaryctl [--strategy ";
+const CHAOS_USAGE: &str = "usage: canaryctl chaos ";
+const LOAD_USAGE: &str = "usage: canaryctl load ";
+const FIG_USAGE: &str = "usage: canaryctl fig ";
+
+/// Each command's name (empty for the default command) and the start of
+/// its usage line.
+const COMMANDS: [(&str, &str); 6] = [
+    ("", RUN_USAGE),
+    ("chaos", CHAOS_USAGE),
+    ("load", LOAD_USAGE),
+    ("trace", "usage: canaryctl trace "),
+    ("wal", "usage: canaryctl wal "),
+    ("fig", FIG_USAGE),
+];
+
 /// Out-of-range values are usage errors (exit 2) caught at parse time,
 /// not panics deep inside a run: `--reps` must be at least 1,
 /// `--node-failures` a probability, and every `load --rates` value a
-/// finite rate above zero.
+/// finite rate above zero. Each error prints its own command's usage,
+/// and no flag acts before every flag has been read: `--list` does not
+/// list past an unknown flag, and `--scenario` and `--spec` are
+/// alternatives.
 #[test]
 fn canaryctl_rejects_out_of_range_flags() {
-    let cases: &[&[&str]] = &[
-        &["--reps", "0"],
-        &["--node-failures", "NaN"],
-        &["--node-failures", "7"],
-        &["--node-failures", "-1"],
-        &["load", "--quick", "--rates", "0"],
-        &["load", "--quick", "--rates", "-1"],
-        &["load", "--quick", "--rates", "NaN"],
-        &["load", "--quick", "--rates", "1,0"],
-        &["load", "--quick", "--rates", "inf"],
-        &["fig"],
-        &["fig", "nope"],
-        &["fig", "fig7", "--reps", "0"],
+    let cases: &[(&[&str], &str)] = &[
+        (&["--reps", "0"], RUN_USAGE),
+        (&["--node-failures", "NaN"], RUN_USAGE),
+        (&["--node-failures", "7"], RUN_USAGE),
+        (&["--node-failures", "-1"], RUN_USAGE),
+        (&["load", "--quick", "--rates", "0"], LOAD_USAGE),
+        (&["load", "--quick", "--rates", "-1"], LOAD_USAGE),
+        (&["load", "--quick", "--rates", "NaN"], LOAD_USAGE),
+        (&["load", "--quick", "--rates", "1,0"], LOAD_USAGE),
+        (&["load", "--quick", "--rates", "inf"], LOAD_USAGE),
+        (&["load", "--strategy", "nope"], LOAD_USAGE),
+        (&["chaos", "--strategy", "nope"], CHAOS_USAGE),
+        (&["chaos", "--list", "--bogus"], CHAOS_USAGE),
+        (
+            &["chaos", "--scenario", "mixed", "--spec", "x"],
+            CHAOS_USAGE,
+        ),
+        (&["chaos", "--seed", "7", "--trace-out"], CHAOS_USAGE),
+        (&["fig"], FIG_USAGE),
+        (&["fig", "nope"], FIG_USAGE),
+        (&["fig", "fig7", "--reps", "0"], FIG_USAGE),
     ];
-    for argv in cases {
+    for (argv, usage) in cases {
         let out = Command::new(env!("CARGO_BIN_EXE_canaryctl"))
             .args(*argv)
             .output()
@@ -271,10 +300,224 @@ fn canaryctl_rejects_out_of_range_flags() {
         let stderr = String::from_utf8_lossy(&out.stderr);
         assert_eq!(out.status.code(), Some(2), "{argv:?}:\n{stderr}");
         assert!(
-            stderr.lines().any(|l| l.starts_with("usage: canaryctl")),
-            "{argv:?} printed no usage line:\n{stderr}"
+            stderr.lines().any(|l| l.starts_with(usage)),
+            "{argv:?} printed no {usage:?} line:\n{stderr}"
+        );
+        assert!(out.stdout.is_empty(), "{argv:?} printed to stdout");
+    }
+}
+
+/// An explicit `load --jobs` wins over `--quick`'s job count whichever
+/// comes first.
+#[test]
+fn load_jobs_overrides_quick_in_either_order() {
+    for order in [["--jobs", "3", "--quick"], ["--quick", "--jobs", "3"]] {
+        let out = Command::new(env!("CARGO_BIN_EXE_canaryctl"))
+            .arg("load")
+            .args(order)
+            .args(["--rates", "4", "--strategy", "ideal"])
+            .output()
+            .expect("canaryctl runs");
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        assert_eq!(
+            out.status.code(),
+            Some(0),
+            "{order:?}:\n{}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        assert!(stdout.contains(" 3 jobs/point"), "{order:?}:\n{stdout}");
+    }
+}
+
+/// Seeded argv fuzz over all six commands: up to six tokens drawn from
+/// every flag name and from values at the edges of their types, then
+/// `--help --help`. A flag takes at most one value, so every line is a
+/// usage error whatever it holds, and no run starts: each must exit 2
+/// with its own command's usage, print nothing to stdout and write no
+/// file.
+#[test]
+fn argv_fuzz_ends_in_the_commands_own_usage() {
+    const TOKENS: [&str; 42] = [
+        "--strategy",
+        "--workload",
+        "--invocations",
+        "--rate",
+        "--nodes",
+        "--seed",
+        "--reps",
+        "--node-failures",
+        "--trace-out",
+        "--telemetry-out",
+        "--timeline",
+        "--perfetto-out",
+        "--spans-out",
+        "--blame",
+        "--wal-out",
+        "--scenario",
+        "--spec",
+        "--list",
+        "--quick",
+        "--rates",
+        "--jobs",
+        "--max-inflight",
+        "--error-rate",
+        "--out",
+        "--in",
+        "--perfetto",
+        "--spans",
+        "--job",
+        "--help",
+        "-h",
+        "NaN",
+        "-1",
+        "0",
+        "1e308",
+        "18446744073709551616",
+        "",
+        "inf",
+        "1,0",
+        "canary",
+        "mixed",
+        "fig7",
+        "x",
+    ];
+    let dir = std::env::temp_dir().join(format!("canary-argv-fuzz-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let mut rng = SimRng::seed_from_u64(0xA56F);
+    for case in 0..300 {
+        let (name, usage) = COMMANDS[case % COMMANDS.len()];
+        let mut argv: Vec<&str> = Vec::new();
+        if !name.is_empty() {
+            argv.push(name);
+        }
+        for _ in 0..rng.u64_below(7) {
+            argv.push(*rng.choose(&TOKENS));
+        }
+        argv.extend(["--help", "--help"]);
+        let out = Command::new(env!("CARGO_BIN_EXE_canaryctl"))
+            .current_dir(&dir)
+            .args(&argv)
+            .output()
+            .expect("canaryctl runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(
+            out.status.code(),
+            Some(2),
+            "case {case} {argv:?}:\n{stderr}"
+        );
+        assert!(
+            stderr.lines().any(|l| l.starts_with(usage)),
+            "case {case} {argv:?} printed no {usage:?} line:\n{stderr}"
+        );
+        assert!(
+            out.stdout.is_empty(),
+            "case {case} {argv:?} printed to stdout"
+        );
+        assert_eq!(
+            std::fs::read_dir(&dir).unwrap().count(),
+            0,
+            "case {case} {argv:?} wrote a file"
         );
     }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// The study binaries read `[--quick] [--out PATH]` before they measure
+/// anything: an unknown flag, or an `--out` without a path, exits 2 with
+/// the binary's usage and writes nothing.
+#[test]
+fn study_binaries_reject_bad_flags_before_measuring() {
+    let dir = std::env::temp_dir().join(format!("canary-study-flags-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    for bin in [
+        env!("CARGO_BIN_EXE_wal_study"),
+        env!("CARGO_BIN_EXE_ckpt_study"),
+        env!("CARGO_BIN_EXE_load_study"),
+    ] {
+        for argv in [["--quick", "--bogus"], ["--quick", "--out"]] {
+            let out = Command::new(bin)
+                .current_dir(&dir)
+                .args(argv)
+                .output()
+                .expect("study binary runs");
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            assert_eq!(out.status.code(), Some(2), "{bin} {argv:?}:\n{stderr}");
+            assert!(stderr.contains("usage: "), "{bin} {argv:?}:\n{stderr}");
+            assert!(out.stdout.is_empty(), "{bin} {argv:?} printed to stdout");
+            assert_eq!(
+                std::fs::read_dir(&dir).unwrap().count(),
+                0,
+                "{bin} {argv:?} wrote a file"
+            );
+        }
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// `canaryctl` with `args` in `dir`, its stdout a pipe whose reader is
+/// already closed (`canaryctl … | head` once `head` has read enough).
+fn with_closed_stdout(dir: &std::path::Path, args: &[&str]) -> std::process::Output {
+    let (reader, writer) = std::io::pipe().expect("pipe");
+    drop(reader);
+    Command::new(env!("CARGO_BIN_EXE_canaryctl"))
+        .current_dir(dir)
+        .args(args)
+        .stdout(writer)
+        .output()
+        .expect("canaryctl runs")
+}
+
+/// A reader that closes stdout early ends only stdout: the command exits
+/// as it would have, without a panic, and still writes every file it was
+/// asked for.
+#[test]
+fn a_closed_stdout_drops_only_stdout() {
+    let dir = std::env::temp_dir().join(format!("canary-closed-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let wal_golden = golden::golden_path("wal_mixed_seed42.bin");
+    let trace_golden = golden::golden_path("chaos_mixed_seed42.jsonl");
+    let cases: [Vec<&str>; 5] = [
+        vec!["chaos", "--timeline"],
+        vec!["chaos", "--list"],
+        vec!["wal", "--in", wal_golden.to_str().unwrap()],
+        vec!["trace", "--in", trace_golden.to_str().unwrap()],
+        vec!["--reps", "1", "--invocations", "10", "--timeline"],
+    ];
+    for argv in &cases {
+        let out = with_closed_stdout(&dir, argv);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(0), "{argv:?}:\n{stderr}");
+        assert!(!stderr.contains("panicked"), "{argv:?}:\n{stderr}");
+    }
+    let out = with_closed_stdout(
+        &dir,
+        &[
+            "chaos",
+            "--scenario",
+            "mixed",
+            "--seed",
+            "42",
+            "--trace-out",
+            "trace.jsonl",
+            "--wal-out",
+            "wal.bin",
+            "--timeline",
+        ],
+    );
+    assert_eq!(
+        out.status.code(),
+        Some(0),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    for (written, golden) in [("trace.jsonl", &trace_golden), ("wal.bin", &wal_golden)] {
+        assert!(
+            std::fs::read(dir.join(written)).unwrap() == std::fs::read(golden).unwrap(),
+            "{written} differs from {}",
+            golden.display()
+        );
+    }
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 /// The output flags the default command and `chaos` share, each with
