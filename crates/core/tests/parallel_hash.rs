@@ -1,9 +1,11 @@
 //! Tests for chunk hashing ([`canary_core::chunk::hash_chunks_into`]).
 //!
-//! Correctness requires the hash *sequence* to be a pure function of the
-//! payload and chunk size — never of the (ignored) worker count —
-//! because those hashes feed the content-addressed store, the
-//! delta-manifest encoder, and the manifest sequence digest.
+//! The hasher runs four chunks at a time in four lanes on one thread,
+//! then hashes the tail chunks one at a time. Correctness requires the
+//! hash *sequence* to be a pure function of the payload and chunk size
+//! (never of the lane grouping or the ignored worker count) because
+//! those hashes feed the content-addressed store, the delta-manifest
+//! encoder, and the manifest sequence digest.
 
 use canary_core::chunk::{fnv1a64, hash_chunks_into, sequence_digest};
 use proptest::prelude::*;
@@ -91,7 +93,7 @@ fn output_buffer_is_reset_not_appended() {
 
 proptest! {
     /// For arbitrary payloads, chunk sizes, and worker counts the
-    /// parallel hasher equals the serial oracle — same length, same
+    /// four-lane hasher equals the serial oracle — same length, same
     /// values, same order.
     #[test]
     fn parallel_equals_serial(

@@ -132,8 +132,7 @@ fn measure_reopen(iterations: u32) -> Reopen {
         .db()
         .kv()
         .wal()
-        .expect("CanaryStrategy::new logs its metadata db through a WAL")
-        .clone();
+        .expect("CanaryStrategy::new logs its metadata db through a WAL");
     let image = wal.to_bytes();
     let replay = wal.replay().expect("image from a healthy run replays");
     let mut samples = Vec::with_capacity(iterations as usize);

@@ -25,6 +25,6 @@ pub mod store;
 pub mod wal;
 
 pub use error::KvError;
-pub use replicated::{ReplicatedKv, WalRecovery};
+pub use replicated::{ReplicatedKv, WalRecovery, WalView};
 pub use store::StoreConfig;
 pub use wal::{SnapshotState, Wal, WalConfig, WalError, WalOp, WalReplay, WalStats};

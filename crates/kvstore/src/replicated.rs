@@ -19,16 +19,28 @@
 //! (failure, recovery, empty rejoin) walk the map once and bump a
 //! [generation counter](ReplicatedKv::generation) so caches layered above
 //! the group can detect that the backing data may have changed under them.
+//!
+//! A durable group compacts its WAL by *cuts*. A cut truncates the log
+//! and records the generation, the live mask and an epoch, not the
+//! entries: each entry carries the epoch of its last write, and the
+//! first overwrite or removal of an entry written before the pending
+//! cut keeps its old version in an undo list. The cut's snapshot (the
+//! reader's entries in key order, as they stood at the cut) is built
+//! from the entries older than the cut plus that undo list, and only
+//! when something needs it: a read through [`ReplicatedKv::wal`], a
+//! crash-restart, or a membership change, which rewrites holder masks.
+//! A compaction that nothing reads copies nothing from the store, and
+//! the next cut drops the undo list.
 
 use crate::error::KvError;
 use crate::store::{prefix_upper_bound, StoreConfig};
-use crate::wal::{SnapshotState, Wal, WalConfig, WalError, WalOp};
+use crate::wal::{SnapshotState, Wal, WalConfig, WalError, WalOp, WalReplay, WalStats};
 use bytes::Bytes;
 use parking_lot::RwLock;
+use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
 use std::ops::Bound;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 
 /// What a crash-restart recovered from the write-ahead log.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -66,21 +78,52 @@ fn members_of(mut mask: u64) -> impl Iterator<Item = usize> {
     })
 }
 
-/// One stored value and the members holding it (bit `m` for member `m`).
+/// One stored value, the members holding it (bit `m` for member `m`),
+/// and the [`Group::epoch`] of its last write.
 #[derive(Debug)]
 struct Held {
     value: Bytes,
     holders: u64,
+    epoch: u64,
+}
+
+/// A WAL compaction point whose snapshot is not built yet: the
+/// generation and live mask it records, and the reader's entry count.
+#[derive(Debug, Clone, Copy)]
+struct Cut {
+    generation: u64,
+    live: u64,
+    len: usize,
 }
 
 /// The contents of every member. Each entry's holders are a non-empty
 /// subset of `live` (a member that is down holds nothing), and
 /// `counts[m]` is the number of entries member `m` holds.
+///
+/// While `cut` is pending, the entries as they stood at the cut are
+/// exactly those with `epoch` below the group's plus those in `undo`:
+/// a write stamps the current epoch, and the first overwrite or removal
+/// of an older entry moves that entry to `undo`, so each key is in at
+/// most one of the two. Holder masks of older entries do not move
+/// before the cut is built, because membership changes build it first.
 #[derive(Debug)]
 struct Group {
     map: BTreeMap<Bytes, Held>,
     live: u64,
     counts: Vec<usize>,
+    /// Cuts taken so far.
+    epoch: u64,
+    cut: Option<Cut>,
+    undo: Vec<(Bytes, Held)>,
+    /// `entries()` at the pending cut, which its built snapshot must equal.
+    #[cfg(test)]
+    oracle: Vec<(Bytes, Bytes)>,
+}
+
+#[cfg(test)]
+thread_local! {
+    /// Cut snapshots built and compared with their oracle on this thread.
+    static ORACLE_CHECKS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
 }
 
 impl Group {
@@ -90,6 +133,11 @@ impl Group {
             map: BTreeMap::new(),
             live: u64::MAX >> (64 - members),
             counts: vec![0; members],
+            epoch: 0,
+            cut: None,
+            undo: Vec::new(),
+            #[cfg(test)]
+            oracle: Vec::new(),
         }
     }
 
@@ -123,26 +171,108 @@ impl Group {
 
     /// Store `value` under `key` on every live member.
     fn insert(&mut self, key: Bytes, value: Bytes) {
-        let live = self.live;
-        let old = self.map.insert(
-            key,
-            Held {
-                value,
-                holders: live,
-            },
-        );
-        for m in members_of(live & !old.map_or(0, |h| h.holders)) {
+        let held = Held {
+            value,
+            holders: self.live,
+            epoch: self.epoch,
+        };
+        let gained = match self.map.entry(key) {
+            Entry::Vacant(slot) => {
+                slot.insert(held);
+                self.live
+            }
+            Entry::Occupied(mut slot) => {
+                let old = std::mem::replace(slot.get_mut(), held);
+                let gained = self.live & !old.holders;
+                if self.cut.is_some() && old.epoch < self.epoch {
+                    self.undo.push((slot.key().clone(), old));
+                }
+                gained
+            }
+        };
+        for m in members_of(gained) {
             self.counts[m] += 1;
         }
     }
 
     /// Remove `key` from every member.
-    fn remove(&mut self, key: &[u8]) {
-        if let Some(held) = self.map.remove(key) {
+    fn remove(&mut self, key: &Bytes) {
+        if let Some((key, held)) = self.map.remove_entry(key) {
             for m in members_of(held.holders) {
                 self.counts[m] -= 1;
             }
+            if self.cut.is_some() && held.epoch < self.epoch {
+                self.undo.push((key, held));
+            }
         }
+    }
+
+    /// Take a cut at membership generation `generation`, superseding a
+    /// pending one, whose snapshot nothing read.
+    fn cut(&mut self, generation: u64) {
+        #[cfg(test)]
+        if let Some(cut) = self.cut {
+            self.check_oracle(cut);
+        }
+        self.epoch += 1;
+        self.undo.clear();
+        self.cut = Some(Cut {
+            generation,
+            live: self.live,
+            len: self.len(),
+        });
+        #[cfg(test)]
+        {
+            self.oracle = self.entries();
+        }
+    }
+
+    /// Build the pending cut's snapshot, if there is one, and end the cut.
+    fn take_cut(&mut self) -> Option<SnapshotState> {
+        let cut = self.cut?;
+        #[cfg(test)]
+        self.check_oracle(cut);
+        let entries = self.cut_entries(cut);
+        self.cut = None;
+        self.undo.clear();
+        Some(SnapshotState {
+            generation: cut.generation,
+            alive: (0..self.counts.len())
+                .map(|m| cut.live & bit(m) != 0)
+                .collect(),
+            entries,
+        })
+    }
+
+    /// The entries cut `cut`'s reader held at the cut, in key order: the
+    /// entries older than the cut merged with the undo list. The two hold
+    /// disjoint keys, and neither holds an entry written since the cut.
+    fn cut_entries(&mut self, cut: Cut) -> Vec<(Bytes, Bytes)> {
+        let reader = if cut.live == 0 {
+            0
+        } else {
+            bit(cut.live.trailing_zeros() as usize)
+        };
+        self.undo.sort_unstable_by(|a, b| a.0.cmp(&b.0));
+        let mut undone = self
+            .undo
+            .iter()
+            .filter(|(_, h)| h.holders & reader != 0)
+            .peekable();
+        let mut entries = Vec::with_capacity(cut.len);
+        let older = self
+            .map
+            .iter()
+            .filter(|(_, h)| h.epoch < self.epoch && h.holders & reader != 0);
+        for (key, held) in older {
+            while let Some((k, h)) = undone.next_if(|(k, _)| k < key) {
+                entries.push((k.clone(), h.value.clone()));
+            }
+            entries.push((key.clone(), held.value.clone()));
+        }
+        entries.extend(undone.map(|(k, h)| (k.clone(), h.value.clone())));
+        debug_assert_eq!(entries.len(), cut.len, "the cut's reader count");
+        entries
     }
 
     /// Crash member `node`: its copy is wiped and it stops serving.
@@ -215,19 +345,30 @@ impl Group {
     }
 
     /// The reader's entries in key order (empty when every member is
-    /// down) — the rows a compacting snapshot stores.
+    /// down): the rows a snapshot taken now stores, and the oracle for
+    /// [`Group::cut_entries`].
+    #[cfg(test)]
     fn entries(&self) -> Vec<(Bytes, Bytes)> {
         let Some(reader) = self.reader() else {
             return Vec::new();
         };
-        let mut entries = Vec::with_capacity(self.counts[reader]);
-        entries.extend(
-            self.map
-                .iter()
-                .filter(|(_, h)| h.holders & bit(reader) != 0)
-                .map(|(k, h)| (k.clone(), h.value.clone())),
+        self.map
+            .iter()
+            .filter(|(_, h)| h.holders & bit(reader) != 0)
+            .map(|(k, h)| (k.clone(), h.value.clone()))
+            .collect()
+    }
+
+    /// Build the snapshot of pending cut `cut` and compare it with
+    /// `entries()` as recorded at the cut.
+    #[cfg(test)]
+    fn check_oracle(&mut self, cut: Cut) {
+        let built = self.cut_entries(cut);
+        assert_eq!(
+            built, self.oracle,
+            "a cut's snapshot must equal entries() at the cut"
         );
-        entries
+        ORACLE_CHECKS.with(|n| n.set(n.get() + 1));
     }
 }
 
@@ -243,7 +384,46 @@ pub struct ReplicatedKv {
     generation: AtomicU64,
     /// When present, every mutation is logged through here before it is
     /// acknowledged — the group can then be rebuilt after a crash.
-    wal: Option<Arc<Wal>>,
+    wal: Option<Wal>,
+}
+
+/// A durable group's write-ahead log, read through the group. Each read
+/// takes the group's lock, builds the snapshot of a pending cut, and
+/// reads the log under that same lock, so it never sees a deferred or
+/// stale snapshot.
+#[derive(Debug, Clone, Copy)]
+pub struct WalView<'a> {
+    kv: &'a ReplicatedKv,
+    wal: &'a Wal,
+}
+
+impl WalView<'_> {
+    /// Run `read` on the WAL once the pending cut, if any, is built.
+    fn settled<T>(&self, read: impl FnOnce(&Wal) -> T) -> T {
+        let mut group = self.kv.group.write();
+        self.kv.settle(&mut group);
+        read(self.wal)
+    }
+
+    /// See [`Wal::stats`].
+    pub fn stats(&self) -> WalStats {
+        self.settled(Wal::stats)
+    }
+
+    /// See [`Wal::to_bytes`].
+    pub fn to_bytes(&self) -> Vec<u8> {
+        self.settled(Wal::to_bytes)
+    }
+
+    /// See [`Wal::replay`].
+    pub fn replay(&self) -> Result<WalReplay, WalError> {
+        self.settled(Wal::replay)
+    }
+
+    /// See [`Wal::config`].
+    pub fn config(&self) -> WalConfig {
+        self.wal.config()
+    }
 }
 
 impl ReplicatedKv {
@@ -262,7 +442,7 @@ impl ReplicatedKv {
     /// Create a durable replica group backed by a fresh write-ahead log.
     pub fn durable(members: usize, config: StoreConfig, wal_config: WalConfig) -> Self {
         let mut group = ReplicatedKv::new(members, config);
-        group.wal = Some(Arc::new(Wal::new(wal_config)));
+        group.wal = Some(Wal::new(wal_config));
         group
     }
 
@@ -273,7 +453,7 @@ impl ReplicatedKv {
     pub fn open(
         members: usize,
         config: StoreConfig,
-        wal: Arc<Wal>,
+        wal: Wal,
     ) -> Result<(Self, WalRecovery), WalError> {
         let mut group = ReplicatedKv::new(members, config);
         group.wal = Some(wal);
@@ -282,8 +462,9 @@ impl ReplicatedKv {
     }
 
     /// The attached write-ahead log, when the group is durable.
-    pub fn wal(&self) -> Option<&Arc<Wal>> {
-        self.wal.as_ref()
+    pub fn wal(&self) -> Option<WalView<'_>> {
+        let wal = self.wal.as_ref()?;
+        Some(WalView { kv: self, wal })
     }
 
     /// Number of members (live or not).
@@ -363,7 +544,7 @@ impl ReplicatedKv {
         }
         for (key, value) in entries {
             self.log_op(
-                &group,
+                &mut group,
                 &WalOp::Put {
                     key: key.clone(),
                     value: value.clone(),
@@ -469,7 +650,7 @@ impl ReplicatedKv {
     fn commit(&self, op: &WalOp) -> Result<(), KvError> {
         let mut group = self.group.write();
         self.apply(&mut group, op)?;
-        self.log_op(&group, op);
+        self.log_op(&mut group, op);
         Ok(())
     }
 
@@ -499,16 +680,32 @@ impl ReplicatedKv {
                 group.remove(key);
                 return Ok(());
             }
-            WalOp::FailNode(n) => group.fail(member(n)?),
-            WalOp::RecoverNode(n) => group.recover(member(n)?)?,
-            WalOp::RejoinEmpty(n) => group.rejoin_empty(member(n)?),
+            WalOp::FailNode(n) | WalOp::RecoverNode(n) | WalOp::RejoinEmpty(n) => {
+                let node = member(n)?;
+                // The pending cut's snapshot reads holder masks, which
+                // every membership change rewrites.
+                self.settle(group);
+                match op {
+                    WalOp::FailNode(_) => group.fail(node),
+                    WalOp::RecoverNode(_) => group.recover(node)?,
+                    _ => group.rejoin_empty(node),
+                }
+            }
         }
         self.bump_generation();
         Ok(())
     }
 
-    /// Log one acknowledged mutation, compacting the WAL into a snapshot
-    /// once enough records accumulate. No-op for memory-only groups.
+    /// Build `group`'s pending cut, if any, into the WAL.
+    fn settle(&self, group: &mut Group) {
+        if let Some(snapshot) = group.take_cut() {
+            let wal = self.wal.as_ref().expect("only a durable group cuts");
+            wal.fill_cut(snapshot);
+        }
+    }
+
+    /// Log one acknowledged mutation, compacting the WAL by a cut once
+    /// enough records accumulate. No-op for memory-only groups.
     ///
     /// Compaction is deferred while live members have diverged (an
     /// empty-rejoined member lags its peers until it fails and resyncs
@@ -516,17 +713,12 @@ impl ReplicatedKv {
     /// member, which would erase that divergence. The log suffix keeps
     /// growing in the meantime and replay reproduces the divergence
     /// op-by-op, so correctness never depends on compacting.
-    fn log_op(&self, group: &Group, op: &WalOp) {
+    fn log_op(&self, group: &mut Group, op: &WalOp) {
         if let Some(wal) = &self.wal {
             wal.append(op);
             if wal.wants_snapshot_scaled(group.len() as u64) && group.converged() {
-                wal.install_snapshot_owned(SnapshotState {
-                    generation: self.generation(),
-                    alive: (0..group.counts.len())
-                        .map(|m| group.live & bit(m) != 0)
-                        .collect(),
-                    entries: group.entries(),
-                });
+                group.cut(self.generation());
+                wal.cut();
             }
         }
     }
@@ -538,8 +730,10 @@ impl ReplicatedKv {
     /// A torn tail is discarded and truncated away.
     fn restore_from_wal(&self) -> Result<WalRecovery, WalError> {
         let wal = self.wal.as_ref().expect("restore requires a WAL");
-        let replay = wal.replay()?;
         let mut group = self.group.write();
+        // Replay starts from the pending cut's snapshot, so build it.
+        self.settle(&mut group);
+        let replay = wal.replay()?;
         let members = group.counts.len();
         let mut restored = Group::new(members);
         let (base_generation, entries) = match &replay.snapshot {
@@ -630,6 +824,7 @@ impl ReplicatedKv {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn group(n: usize) -> ReplicatedKv {
         ReplicatedKv::new(n, StoreConfig::default())
@@ -829,10 +1024,7 @@ mod tests {
         g.recover_node(0).unwrap();
         g.put("b", Bytes::from_static(b"2")).unwrap();
         let image = g.wal().unwrap().to_bytes();
-        let wal = Arc::new(
-            crate::wal::Wal::from_bytes(&image, crate::wal::WalConfig { snapshot_every: 3 })
-                .unwrap(),
-        );
+        let wal = Wal::from_bytes(&image, WalConfig { snapshot_every: 3 }).unwrap();
         let (reopened, recovery) = ReplicatedKv::open(2, StoreConfig::default(), wal).unwrap();
         assert!(recovery.durable);
         assert_eq!(reopened.generation(), g.generation());
@@ -840,6 +1032,92 @@ mod tests {
         assert_eq!(reopened.get("a").unwrap(), Bytes::from_static(b"1"));
         assert_eq!(reopened.get("b").unwrap(), Bytes::from_static(b"2"));
         assert!(reopened.replicas_consistent());
+    }
+
+    #[test]
+    fn a_cut_keeps_the_pre_cut_values_of_keys_written_after_it() {
+        // The fifth put cuts with five entries; the four records after it
+        // stay below the next cut's threshold of five.
+        let g = durable_group(3, 5);
+        let keys = ["a", "b", "c", "d", "k"];
+        for k in keys {
+            g.put(k, Bytes::from(format!("{k}0"))).unwrap();
+        }
+        g.put("k", Bytes::from_static(b"k1")).unwrap();
+        g.remove("k").unwrap();
+        g.put("k", Bytes::from_static(b"k2")).unwrap();
+        g.remove("b").unwrap();
+        let wal = g.wal().unwrap();
+        let snapshot = wal.replay().unwrap().snapshot.unwrap();
+        let at_cut: Vec<(Bytes, Bytes)> = keys
+            .iter()
+            .map(|k| (Bytes::from(*k), Bytes::from(format!("{k}0"))))
+            .collect();
+        assert_eq!(snapshot.entries, at_cut);
+        assert_eq!(wal.stats().records_since_snapshot, 4);
+        assert_eq!(g.get("k").unwrap(), Bytes::from_static(b"k2"));
+        assert!(!g.contains("b"));
+    }
+
+    fn key(seed: u8) -> Bytes {
+        Bytes::from(vec![b'k', seed % 6])
+    }
+
+    proptest! {
+        /// Each cut's snapshot, built late from the entries older than the
+        /// cut and the undo list, equals `entries()` as it stood at the cut.
+        /// `Group` records that oracle at every cut and compares it with the
+        /// built snapshot when the next cut supersedes it, when a membership
+        /// op or a crash-restart forces the build, and at the end, when a
+        /// read through `wal()` builds it; nothing reads the WAL in
+        /// between. Every cut is compared exactly once.
+        #[test]
+        fn deferred_cuts_build_the_snapshot_taken_at_the_cut(
+            snapshot_every in 1u64..4,
+            steps in proptest::collection::vec(
+                (
+                    0u8..16,
+                    any::<u8>(),
+                    proptest::collection::vec((any::<u8>(), any::<u8>()), 1..5),
+                ),
+                0..120,
+            ),
+        ) {
+            let g = durable_group(3, snapshot_every);
+            let before = ORACLE_CHECKS.with(|n| n.get());
+            // Each step is a kind, a key or node seed, and a batch.
+            for (kind, seed, batch) in steps {
+                let node = usize::from(seed % 3);
+                // Errors (a write during a total outage, a recovery with
+                // no donor) leave the group as it was.
+                let _ = match kind {
+                    0..=5 => g.put_shared(key(seed), Bytes::from(vec![seed])),
+                    6..=8 => {
+                        // Duplicate keys: the last write in the batch wins.
+                        let batch: Vec<(Bytes, Bytes)> = batch
+                            .iter()
+                            .map(|&(k, v)| (key(k), Bytes::from(vec![v])))
+                            .collect();
+                        g.put_batch(&batch)
+                    }
+                    9..=11 => g.remove(key(seed)),
+                    12 if seed < 40 => (0..3).try_for_each(|n| g.fail_node(n)),
+                    12 => g.fail_node(node),
+                    13 => g.recover_node(node),
+                    14 => g.rejoin_empty(node),
+                    _ => {
+                        let entries = g.group.read().entries();
+                        let generation = g.generation();
+                        g.crash_and_recover(true).unwrap();
+                        prop_assert_eq!(g.group.read().entries(), entries);
+                        prop_assert_eq!(g.generation(), generation);
+                        Ok(())
+                    }
+                };
+            }
+            let cuts = g.wal().unwrap().stats().snapshots_installed;
+            prop_assert_eq!(ORACLE_CHECKS.with(|n| n.get()) - before, cuts);
+        }
     }
 
     #[test]

@@ -7,6 +7,13 @@
 //! append-only log of every mutation applied to a [`ReplicatedKv`]
 //! group, periodically compacted into a snapshot of the full group state.
 //!
+//! A compaction the group triggers is a *cut*: the log is truncated and
+//! the snapshot counted at once, but the snapshot's contents are built
+//! from the group only when something reads the log (see
+//! [`ReplicatedKv`]'s module docs). Until then the region holds a
+//! deferred marker, which the group replaces before any read reaches
+//! the WAL.
+//!
 //! Layout (all integers little-endian):
 //!
 //! ```text
@@ -267,9 +274,9 @@ pub struct SnapshotState {
 
 impl SnapshotState {
     /// Exact size [`SnapshotState::encode`] will produce, computed without
-    /// materializing the bytes. The compaction hot path installs snapshots
-    /// lazily and only sizes them for stats, so this must track `encode`
-    /// field for field.
+    /// materializing the bytes. An installed snapshot is sized for
+    /// [`WalStats::snapshot_bytes`] when it is built, and encoded only if
+    /// an image needs it, so this must track `encode` field for field.
     fn encoded_len(&self) -> usize {
         let entries: usize = self
             .entries
@@ -402,19 +409,22 @@ pub struct WalStats {
     pub torn_appends: u64,
 }
 
-/// The snapshot region: either raw encoded bytes (images opened with
-/// [`Wal::from_bytes`], or the empty never-compacted state) or the state
-/// captured at install time with encoding deferred. Encoding is pure, so
-/// materializing later yields byte-identical output; deferral turns the
-/// compaction hot path's O(store) byte serialization into a refcounted
-/// handle copy, paid only if an image or a replay-after-decode actually
-/// needs the bytes.
+/// The snapshot region: raw encoded bytes (images opened with
+/// [`Wal::from_bytes`], or the empty never-compacted state), a built
+/// state whose encoding is deferred, or a cut whose state the owning
+/// group has not built yet. Encoding is pure, so materializing later
+/// yields byte-identical output: an image pays the O(store) byte
+/// serialization, a replay clones refcounted handles, and a cut that
+/// nothing reads pays neither.
 #[derive(Debug)]
 enum SnapshotRepr {
     /// Encoded snapshot region (empty = never compacted).
     Encoded(Vec<u8>),
-    /// Install-time state; encoded on demand.
+    /// Built state; encoded on demand.
     Lazy(SnapshotState),
+    /// A cut ([`Wal::cut`]) awaiting its state ([`Wal::fill_cut`]).
+    /// Reading it is a broken invariant of the owning group.
+    Deferred,
 }
 
 impl Default for SnapshotRepr {
@@ -430,17 +440,40 @@ struct WalInner {
     stats: WalStats,
 }
 
+const DEFERRED_READ: &str = "a cut's snapshot is read before its group built it";
+
 impl WalInner {
     /// The encoded snapshot region, materializing (and caching) a lazy
     /// snapshot on first use.
     fn snapshot_encoded(&mut self) -> &Vec<u8> {
-        if let SnapshotRepr::Lazy(state) = &self.snapshot {
-            self.snapshot = SnapshotRepr::Encoded(state.encode());
+        match &self.snapshot {
+            SnapshotRepr::Lazy(state) => self.snapshot = SnapshotRepr::Encoded(state.encode()),
+            SnapshotRepr::Deferred => panic!("{DEFERRED_READ}"),
+            SnapshotRepr::Encoded(_) => {}
         }
         match &self.snapshot {
             SnapshotRepr::Encoded(bytes) => bytes,
-            SnapshotRepr::Lazy(_) => unreachable!("just materialized"),
+            _ => unreachable!("just materialized"),
         }
+    }
+
+    /// Truncate the log, count a snapshot, and leave the region deferred.
+    fn cut(&mut self) {
+        self.snapshot = SnapshotRepr::Deferred;
+        self.log.clear();
+        self.stats.records_since_snapshot = 0;
+        self.stats.snapshots_installed += 1;
+    }
+
+    /// Fill the deferred region with `snap`, sized now and encoded only
+    /// when an image needs the bytes.
+    fn fill(&mut self, snap: SnapshotState) {
+        assert!(
+            matches!(self.snapshot, SnapshotRepr::Deferred),
+            "no cut to fill"
+        );
+        self.stats.snapshot_bytes = snap.encoded_len() as u64;
+        self.snapshot = SnapshotRepr::Lazy(snap);
     }
 }
 
@@ -528,21 +561,23 @@ impl Wal {
     /// Install a compacting snapshot: replaces the snapshot region and
     /// truncates the log.
     pub fn install_snapshot(&self, snap: &SnapshotState) {
-        self.install_snapshot_owned(snap.clone());
+        let mut inner = self.inner.lock();
+        inner.cut();
+        inner.fill(snap.clone());
     }
 
-    /// [`Wal::install_snapshot`] without the defensive clone, for callers
-    /// that hand over a freshly captured state.
-    pub fn install_snapshot_owned(&self, snap: SnapshotState) {
-        let mut inner = self.inner.lock();
-        inner.stats.snapshot_bytes = snap.encoded_len() as u64;
-        // Deferred encode: holding the state is refcounted-handle cheap,
-        // while serializing the whole store here would make every
-        // compaction O(store bytes) on the metadata hot path.
-        inner.snapshot = SnapshotRepr::Lazy(snap);
-        inner.log.clear();
-        inner.stats.records_since_snapshot = 0;
-        inner.stats.snapshots_installed += 1;
+    /// Compact without the snapshot's contents: truncate the log and
+    /// count the snapshot now, and leave the region deferred until the
+    /// owner hands over the state the cut stands for with
+    /// [`Wal::fill_cut`], which it must do before anything reads the WAL.
+    pub(crate) fn cut(&self) {
+        self.inner.lock().cut();
+    }
+
+    /// Fill the pending cut with its state. Holding the state is
+    /// refcounted-handle cheap, and only an image needs the bytes.
+    pub(crate) fn fill_cut(&self, snap: SnapshotState) {
+        self.inner.lock().fill(snap);
     }
 
     /// Replay the WAL: decode the snapshot (if any) and every complete
@@ -556,6 +591,7 @@ impl Wal {
             // Encode→decode round-trips exactly, so replaying the lazy
             // form skips both halves.
             SnapshotRepr::Lazy(state) => Some(state.clone()),
+            SnapshotRepr::Deferred => panic!("{DEFERRED_READ}"),
         };
         let (ops, torn_at) = replay_log(&inner.log)?;
         let replayed_bytes = torn_at.unwrap_or(inner.log.len() as u64);
@@ -587,6 +623,10 @@ impl Wal {
     /// Current append-state counters.
     pub fn stats(&self) -> WalStats {
         let inner = self.inner.lock();
+        assert!(
+            !matches!(inner.snapshot, SnapshotRepr::Deferred),
+            "{DEFERRED_READ}"
+        );
         let mut stats = inner.stats;
         stats.log_bytes = inner.log.len() as u64;
         stats

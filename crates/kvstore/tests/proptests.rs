@@ -127,7 +127,7 @@ proptest! {
             StoreConfig { entry_limit: u64::MAX, ..StoreConfig::default() },
             WalConfig { snapshot_every: 1 },
         );
-        let wal = store.wal().unwrap().clone();
+        let wal = store.wal().unwrap();
         let mut reference = BTreeMap::new();
         for (kind, entries) in ops {
             let installed = wal.stats().snapshots_installed;
