@@ -12,8 +12,8 @@ use canary_container::{ContainerId, ContainerState};
 use canary_platform::{
     FailureInfo, FnId, FtStrategy, JobId, Platform, RecoveryPlan, RecoveryTarget,
 };
+use canary_sim::hash::HashMap;
 use canary_sim::SimDuration;
-use std::collections::HashMap;
 
 /// One warm passive instance per function.
 #[derive(Debug, Default)]
@@ -28,8 +28,8 @@ impl ActiveStandbyStrategy {
     /// New AS strategy with a 200 ms activation handoff.
     pub fn new() -> Self {
         ActiveStandbyStrategy {
-            standby_of: HashMap::new(),
-            owner_of: HashMap::new(),
+            standby_of: HashMap::default(),
+            owner_of: HashMap::default(),
             activation_delay: SimDuration::from_millis(200),
         }
     }

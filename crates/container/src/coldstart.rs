@@ -7,9 +7,9 @@
 
 use crate::image::ImageProfile;
 use canary_cluster::{Cluster, NodeId};
+use canary_sim::hash::HashSet;
 use canary_sim::SimDuration;
 use canary_workloads::RuntimeKind;
-use std::collections::HashSet;
 
 /// Tracks which images are cached where and computes startup times.
 #[derive(Debug, Default)]

@@ -21,9 +21,10 @@
 use crate::lifecycle::{Container, ContainerId, ContainerPurpose, ContainerState};
 use crate::slot_index::FreeSlotIndex;
 use canary_cluster::{Cluster, NodeId};
+use canary_sim::hash::HashMap;
 use canary_workloads::RuntimeKind;
 use std::cmp::Reverse;
-use std::collections::{BTreeSet, HashMap};
+use std::collections::BTreeSet;
 use std::error::Error;
 use std::fmt;
 
@@ -86,7 +87,7 @@ impl ContainerRegistry {
             containers: Vec::new(),
             slots_free,
             node_up: vec![true; cluster.len()],
-            warm_replicas: HashMap::new(),
+            warm_replicas: HashMap::default(),
             nodes_by_free,
         }
     }

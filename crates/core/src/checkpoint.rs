@@ -32,9 +32,10 @@ use crate::config::{CanaryConfig, CheckpointMode};
 use crate::db::{payload_location, spill_location, CanaryDb, CheckpointInfoRow, DbError};
 use bytes::Bytes;
 use canary_cluster::{StorageHierarchy, StorageTier};
+use canary_sim::hash::HashMap;
 use canary_sim::{SimDuration, SimTime};
 use canary_workloads::Encoder;
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::sync::Arc;
 
 /// Checkpoint storage-path options.
@@ -296,7 +297,7 @@ impl CheckpointingModule {
             options,
             hierarchy,
             db,
-            fns: HashMap::new(),
+            fns: HashMap::default(),
             chunks: ChunkStore::new(),
             payload_scratch: Vec::new(),
             manifest_enc: Encoder::new(),

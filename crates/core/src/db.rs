@@ -44,9 +44,9 @@
 
 use bytes::Bytes;
 use canary_kvstore::{KvError, ReplicatedKv, StoreConfig, WalConfig, WalError, WalRecovery};
+use canary_sim::hash::HashMap;
 use canary_workloads::{CodecError, Decoder, Encoder, RuntimeKind};
 use parking_lot::{Mutex, MutexGuard};
-use std::collections::HashMap;
 use std::error::Error;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};

@@ -10,8 +10,8 @@
 //! next node to fail is worse than no replica at all.
 
 use canary_cluster::NodeId;
+use canary_sim::hash::HashMap;
 use canary_sim::SimTime;
-use std::collections::HashMap;
 
 /// Exponentially-decaying per-node failure risk.
 #[derive(Debug, Clone)]
@@ -29,7 +29,7 @@ impl Default for FailurePredictor {
         FailurePredictor {
             half_life_s: 60.0,
             risk_threshold: 2.0,
-            scores: HashMap::new(),
+            scores: HashMap::default(),
         }
     }
 }

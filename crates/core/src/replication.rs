@@ -15,8 +15,8 @@ use crate::config::{CanaryConfig, ReplicationStrategyKind};
 use crate::runtime_manager::RuntimeManager;
 use canary_cluster::NodeId;
 use canary_platform::Platform;
+use canary_sim::hash::HashMap;
 use canary_workloads::RuntimeKind;
-use std::collections::HashMap;
 
 /// Per-runtime failure statistics feeding the dynamic policy.
 #[derive(Debug, Clone, Copy, Default)]
@@ -54,8 +54,8 @@ impl ReplicationModule {
     pub fn new(config: CanaryConfig) -> Self {
         ReplicationModule {
             config,
-            stats: HashMap::new(),
-            replica_memory: HashMap::new(),
+            stats: HashMap::default(),
+            replica_memory: HashMap::default(),
             spawned_total: 0,
             reclaim_scratch: Vec::new(),
         }

@@ -8,9 +8,10 @@
 
 use canary_cluster::NodeId;
 use canary_container::ContainerId;
+use canary_sim::hash::HashMap;
 use canary_sim::SimTime;
 use canary_workloads::RuntimeKind;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 
 /// A tracked replica's lifecycle position.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -24,7 +24,7 @@ use crate::ids::{FnId, JobId};
 use crate::trace::{SpanId, TraceKind};
 use canary_cluster::NodeId;
 use canary_container::ContainerId;
-use std::collections::HashMap;
+use canary_sim::hash::HashMap;
 
 /// Live bookkeeping for span assignment. All maps key spans already
 /// handed out, so looking one up always yields an earlier event.

@@ -54,10 +54,10 @@ use canary_container::{
     ColdStartModel, ContainerId, ContainerPurpose, ContainerRegistry, ContainerState,
     PlacementError,
 };
+use canary_sim::hash::HashMap;
 use canary_sim::{EventQueue, SimRng, SimTime};
 use canary_workloads::RuntimeKind;
 use pool::VecPool;
-use std::collections::HashMap;
 
 /// The simulated platform; strategies receive `&mut Platform` in their
 /// callbacks and may inspect state or create replica containers.
@@ -144,7 +144,7 @@ impl Platform {
             telemetry: Telemetry::new(config.telemetry),
             causal: causal::CausalState::default(),
             profiler: ProfileAccum::default(),
-            active_by_runtime: HashMap::new(),
+            active_by_runtime: HashMap::default(),
             clone_buf_pool: VecPool::default(),
             timing_buf_pool: VecPool::default(),
             placed_scratch: Vec::new(),

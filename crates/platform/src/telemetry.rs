@@ -20,8 +20,9 @@
 //! known analytically, e.g. a checkpoint write cost).
 
 use crate::accounting::Counts;
+use canary_sim::hash::HashMap;
 use canary_sim::{SimDuration, SimTime};
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::fmt;
 
 /// Instrumented lifecycle phases.

@@ -5,9 +5,10 @@
 //! deterministic future-event list ([`EventQueue`], which pops by time
 //! and breaks ties by push order), a splittable
 //! deterministic PRNG ([`SimRng`]), open-loop arrival processes for
-//! sustained-load traffic ([`ArrivalProcess`]), and the statistics types
+//! sustained-load traffic ([`ArrivalProcess`]), the statistics types
 //! used to aggregate experiment results ([`Welford`], [`Percentiles`],
-//! [`Histogram`], [`Series`], [`SeriesSet`]).
+//! [`Histogram`], [`Series`], [`SeriesSet`]), and hash maps whose order
+//! is fixed across processes ([`hash`]).
 //!
 //! The paper evaluates Canary on a 16-node OpenWhisk cluster with failures
 //! injected by randomly killing containers; this crate provides the
@@ -32,6 +33,7 @@
 //! ```
 
 pub mod arrival;
+pub mod hash;
 pub mod queue;
 pub mod rng;
 pub mod series;
