@@ -525,7 +525,16 @@ impl Platform {
     /// the re-poll loop dropped those on dispatch without consuming a
     /// slot) and, if launches remain, schedule the next wakeup for the
     /// slot this admission occupies.
+    ///
+    /// A `Launch` due at the wakeup's own instant pops first and takes
+    /// the slot directly; the wakeup then finds the controller busy and
+    /// moves to the next slot, so each slot admits one launch.
     pub(super) fn handle_admission_free(&mut self, strategy: &mut dyn FtStrategy) {
+        if self.now() < self.controller_free {
+            let at = self.controller_free;
+            self.schedule(at, Event::AdmissionFree);
+            return;
+        }
         while let Some((fn_id, from_state)) = self.pending_launches.pop_front() {
             if self.fns[fn_id.0 as usize].status == FnStatus::Completed {
                 continue;

@@ -140,3 +140,44 @@ fn higher_failure_rates_monotonically_increase_retry_recovery() {
         last = rec;
     }
 }
+
+/// The serialized controller admits one launch per admission slot. On a
+/// saturated one-node cluster a retried `Launch` can fall due at exactly
+/// the instant the parked-launch wakeup is due; it takes the slot, and
+/// the wakeup waits for the next one. Every cold attempt start is an
+/// admission, so consecutive ones are at least `admission_delay` apart.
+#[test]
+fn a_saturated_controller_admits_one_launch_per_slot() {
+    use canary_cluster::{Cluster, FailureModel};
+    use canary_platform::{RunConfig, TraceKind};
+    let delay =
+        RunConfig::new(Cluster::heterogeneous(1), FailureModel::default(), 0).admission_delay;
+    let mut s = Scenario::chameleon(0.15, vec![JobSpec::new(WorkloadSpec::web_service(10), 500)]);
+    s.nodes = 1;
+    for (kind, seed) in [
+        (StrategyKind::Retry, 1000),
+        (StrategyKind::Canary(ReplicationStrategyKind::Dynamic), 8919),
+    ] {
+        let r = s.run(kind, seed, Observe::TRACE);
+        let admitted: Vec<_> = r
+            .trace
+            .events
+            .iter()
+            .filter(|e| matches!(e.kind, TraceKind::AttemptStarted { warm: false, .. }))
+            .map(|e| e.at)
+            .collect();
+        assert!(
+            admitted.len() >= 500,
+            "{kind:?}: {} admissions",
+            admitted.len()
+        );
+        for w in admitted.windows(2) {
+            assert!(
+                w[1].saturating_since(w[0]) >= delay,
+                "{kind:?} seed {seed}: admissions at {} and {}",
+                w[0],
+                w[1]
+            );
+        }
+    }
+}
