@@ -10,13 +10,17 @@
 //! it with the platform's profiler hook, so the hot-path report in the
 //! JSON carries real allocation attribution.
 //!
+//! And it times whole-run critical-path blame (`blame_report`) on an
+//! open-loop causal Canary run, bounded at half of the same run
+//! unobserved, so blame stays one pass over the trace.
+//!
 //! Usage: `bench_engine [--quick] [--out PATH]`
 
 use canary_bench::scheduler::{
     active_indexed, active_scan, best_node_indexed, best_node_scan, platform_with, registry_with,
     warm_first_indexed, warm_first_scan, SIZES,
 };
-use canary_experiments::{Observe, Scenario, StrategyKind};
+use canary_experiments::{open_loop_jobs, Observe, Scenario, StrategyKind};
 use canary_platform::JobSpec;
 use canary_workloads::{RuntimeKind, WorkloadSpec};
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -60,6 +64,11 @@ fn allocs() -> u64 {
 /// Deliberately generous — the point is catching an accidental
 /// always-on cost or a superlinear regression, not micro-tuning.
 const OBSERVED_OVERHEAD_BOUND: f64 = 4.0;
+
+/// Whole-run blame of a causal trace may cost at most this fraction of
+/// the unobserved run that produced it. A blame that rescans the trace
+/// per job costs several runs at 2,000 jobs.
+const BLAME_BOUND: f64 = 0.5;
 
 /// Median per-call nanoseconds of `f`, auto-calibrated so each repeat
 /// runs ~`budget_ms` of wall time.
@@ -201,6 +210,33 @@ fn main() {
     );
     eprint!("{}", canary_metrics::hot_path_report(&profile));
 
+    // Blame tax: whole-run critical-path blame of an open-loop causal
+    // Canary run against the same run unobserved.
+    eprintln!("measuring whole-run blame ({repeats} runs each)...");
+    let mut open = Scenario::chameleon(0.15, open_loop_jobs(4.5, 2_000, 7));
+    open.nodes = 32;
+    let open_ms = median_ms(&mut || {
+        let t = Instant::now();
+        black_box(open.run(strategy, 7, Observe::NONE));
+        t.elapsed().as_secs_f64() * 1e3
+    });
+    let causal = Observe {
+        trace: true,
+        causal: true,
+        profile: false,
+    };
+    let traced = open.run(strategy, 7, causal);
+    let blame_ms = median_ms(&mut || {
+        let t = Instant::now();
+        black_box(canary_metrics::blame_report(&traced.trace));
+        t.elapsed().as_secs_f64() * 1e3
+    });
+    let blame_ratio = blame_ms / open_ms.max(f64::MIN_POSITIVE);
+    eprintln!(
+        "blame: {} events in {blame_ms:.1}ms, unobserved run {open_ms:.1}ms ({blame_ratio:.2}x)",
+        traced.trace.events.len()
+    );
+
     // Hand-formatted JSON (the sanctioned dependency set has no JSON
     // serializer; the format is flat on purpose).
     let mut json = String::new();
@@ -231,7 +267,8 @@ fn main() {
     );
     let _ = writeln!(
         json,
-        "  \"observability\": {{\"unobserved_ms\": {plain_ms:.1}, \"instrumented_ms\": {observed_ms:.1}, \"overhead\": {overhead:.2}, \"bound\": {OBSERVED_OVERHEAD_BOUND:.1}}},"
+        "  \"observability\": {{\"unobserved_ms\": {plain_ms:.1}, \"instrumented_ms\": {observed_ms:.1}, \"overhead\": {overhead:.2}, \"bound\": {OBSERVED_OVERHEAD_BOUND:.1}, \"blame\": {{\"jobs\": 2000, \"nodes\": 32, \"trace_events\": {}, \"unobserved_run_ms\": {open_ms:.1}, \"blame_ms\": {blame_ms:.1}, \"ratio\": {blame_ratio:.2}, \"bound\": {BLAME_BOUND:.1}}}}},",
+        traced.trace.events.len()
     );
     json.push_str("  \"hot_path\": [\n");
     let hot_rows: Vec<_> = profile.rows.iter().filter(|r| r.dispatches > 0).collect();
@@ -271,6 +308,12 @@ fn main() {
         "observability overhead {overhead:.2}x exceeds the declared \
          {OBSERVED_OVERHEAD_BOUND:.1}x bound \
          (unobserved {plain_ms:.1}ms vs instrumented {observed_ms:.1}ms)"
+    );
+    // Whole-run blame stays one pass: at most half the unobserved run.
+    assert!(
+        blame_ratio <= BLAME_BOUND,
+        "whole-run blame {blame_ms:.1}ms is {blame_ratio:.2}x the unobserved \
+         run ({open_ms:.1}ms), over the declared {BLAME_BOUND:.1}x bound"
     );
     // And the profiler actually saw the run: every event the engine
     // dispatched is attributed to some kind.

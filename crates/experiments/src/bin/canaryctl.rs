@@ -590,7 +590,7 @@ fn trace_main(mut flags: Flags, out: &mut impl Write) -> Result<(), Failure> {
     eprintln!(
         "trace: {} events, {} spans, {} causal trees",
         trace.events.len(),
-        forest.defined.len(),
+        forest.span_count(),
         forest.tree_count()
     );
     if let Some(path) = &perfetto {

@@ -438,7 +438,7 @@ pub fn telemetry_to_jsonl(snap: &TelemetrySnapshot) -> String {
 }
 
 /// A flat JSON value (all the exporters emit), borrowed from its line.
-#[derive(Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 enum Val<'a> {
     U64(u64),
     Bool(bool),
@@ -453,58 +453,121 @@ struct Line<'a> {
     fields: Vec<(&'a str, Val<'a>)>,
 }
 
+/// The first byte at or after `at` that is not whitespace, whitespace
+/// being what `str::trim` removes (`char::is_whitespace`). The writers
+/// put none between tokens, so the first test nearly always ends it.
+#[inline]
+fn skip_space(text: &str, at: usize) -> usize {
+    match text.as_bytes().get(at) {
+        Some(&b) if b > b' ' && b.is_ascii() => at,
+        _ => skip_space_from(text, at),
+    }
+}
+
+#[inline(never)]
+fn skip_space_from(text: &str, mut at: usize) -> usize {
+    let bytes = text.as_bytes();
+    while let Some(&b) = bytes.get(at) {
+        if b == b' ' || (b'\t'..=b'\r').contains(&b) {
+            at += 1;
+        } else if b.is_ascii() {
+            break;
+        } else {
+            match text[at..].chars().next() {
+                Some(c) if c.is_whitespace() => at += c.len_utf8(),
+                _ => break,
+            }
+        }
+    }
+    at
+}
+
+/// The index of the first `byte` at or after `at`.
+fn find_byte(bytes: &[u8], at: usize, byte: u8) -> Option<usize> {
+    bytes[at..].iter().position(|&b| b == byte).map(|i| at + i)
+}
+
+/// The closing quote of a string whose first byte is at `at`, and
+/// whether a backslash comes before it.
+fn string_end(bytes: &[u8], at: usize) -> Option<(usize, bool)> {
+    let mut escaped = false;
+    for (i, &b) in bytes[at..].iter().enumerate() {
+        match b {
+            b'"' => return Some((at + i, escaped)),
+            b'\\' => escaped = true,
+            _ => {}
+        }
+    }
+    None
+}
+
 impl<'a> Line<'a> {
     /// Parse one flat JSON object (string/unsigned-integer/bool values,
     /// no nesting, no escapes — exactly what the writers above produce),
-    /// replacing the previous line's fields.
+    /// replacing the previous line's fields. One scan of the object's
+    /// bytes: keys and strings are borrowed slices and numbers are
+    /// accumulated digit by digit.
     fn parse(&mut self, text: &'a str) -> Result<(), String> {
         self.fields.clear();
-        let mut rest = text
+        let body = text
             .trim()
             .strip_prefix('{')
             .and_then(|r| r.strip_suffix('}'))
             .ok_or("not an object")?
             .trim();
-        while !rest.is_empty() {
-            rest = rest
-                .strip_prefix('"')
-                .ok_or("expected quoted key")?
-                .trim_start();
-            let end = rest.find('"').ok_or("unterminated key")?;
-            let key = &rest[..end];
-            rest = rest[end + 1..]
-                .trim_start()
-                .strip_prefix(':')
-                .ok_or("expected ':'")?
-                .trim_start();
-            let (val, tail) = if let Some(r) = rest.strip_prefix('"') {
-                let end = r.find('"').ok_or("unterminated string")?;
-                if r[..end].contains('\\') {
+        let bytes = body.as_bytes();
+        let mut at = 0;
+        while at < bytes.len() {
+            if bytes[at] != b'"' {
+                return Err("expected quoted key".into());
+            }
+            let start = skip_space(body, at + 1);
+            let end = find_byte(bytes, start, b'"').ok_or("unterminated key")?;
+            let key = &body[start..end];
+            at = skip_space(body, end + 1);
+            if bytes.get(at) != Some(&b':') {
+                return Err("expected ':'".into());
+            }
+            at = skip_space(body, at + 1);
+            let rest = &bytes[at..];
+            let val = if rest.first() == Some(&b'"') {
+                let (end, escaped) = string_end(bytes, at + 1).ok_or("unterminated string")?;
+                if escaped {
                     return Err("escapes unsupported".into());
                 }
-                (Val::Str(&r[..end]), &r[end + 1..])
-            } else if let Some(r) = rest.strip_prefix("true") {
-                (Val::Bool(true), r)
-            } else if let Some(r) = rest.strip_prefix("false") {
-                (Val::Bool(false), r)
+                let s = &body[at + 1..end];
+                at = end + 1;
+                Val::Str(s)
+            } else if rest.starts_with(b"true") {
+                at += 4;
+                Val::Bool(true)
+            } else if rest.starts_with(b"false") {
+                at += 5;
+                Val::Bool(false)
             } else {
-                let end = rest
-                    .find(|c: char| !c.is_ascii_digit())
-                    .unwrap_or(rest.len());
-                if end == 0 {
+                let start = at;
+                let mut n = Some(0u64);
+                while let Some(d) = bytes.get(at).filter(|b| b.is_ascii_digit()) {
+                    n = n
+                        .and_then(|n| n.checked_mul(10))
+                        .and_then(|n| n.checked_add(u64::from(d - b'0')));
+                    at += 1;
+                }
+                if at == start {
+                    let rest = &body[start..];
                     return Err(format!("bad value near {rest:.12?}"));
                 }
-                let n = rest[..end]
-                    .parse()
-                    .map_err(|e| format!("bad number: {e}"))?;
-                (Val::U64(n), &rest[end..])
+                // Overflow is the only way a run of digits fails; std's
+                // parser words the reason.
+                let n = n.map_or_else(|| body[start..at].parse(), Ok);
+                Val::U64(n.map_err(|e| format!("bad number: {e}"))?)
             };
             self.fields.push((key, val));
-            rest = tail.trim_start();
-            match rest.strip_prefix(',') {
-                Some(r) => rest = r.trim_start(),
-                None if rest.is_empty() => break,
-                None => return Err("expected ',' between fields".into()),
+            at = skip_space(body, at);
+            match bytes.get(at) {
+                Some(b',') => at = skip_space(body, at + 1),
+                None => break,
+                Some(_) => return Err("expected ',' between fields".into()),
             }
         }
         Ok(())
@@ -779,6 +842,10 @@ pub fn export_result(
     }
     Ok(())
 }
+
+#[cfg(test)]
+#[path = "../../../tests/common/jsonl_fuzz.rs"]
+mod jsonl_fuzz;
 
 #[cfg(test)]
 mod tests {
@@ -1200,5 +1267,147 @@ mod tests {
         for line in lines {
             Line::default().parse(line).unwrap();
         }
+    }
+
+    /// The `find`/`trim`/`str::parse` reader the byte scan replaced,
+    /// kept as its oracle.
+    fn oracle_parse<'a>(fields: &mut Vec<(&'a str, Val<'a>)>, text: &'a str) -> Result<(), String> {
+        fields.clear();
+        let mut rest = text
+            .trim()
+            .strip_prefix('{')
+            .and_then(|r| r.strip_suffix('}'))
+            .ok_or("not an object")?
+            .trim();
+        while !rest.is_empty() {
+            rest = rest
+                .strip_prefix('"')
+                .ok_or("expected quoted key")?
+                .trim_start();
+            let end = rest.find('"').ok_or("unterminated key")?;
+            let key = &rest[..end];
+            rest = rest[end + 1..]
+                .trim_start()
+                .strip_prefix(':')
+                .ok_or("expected ':'")?
+                .trim_start();
+            let (val, tail) = if let Some(r) = rest.strip_prefix('"') {
+                let end = r.find('"').ok_or("unterminated string")?;
+                if r[..end].contains('\\') {
+                    return Err("escapes unsupported".into());
+                }
+                (Val::Str(&r[..end]), &r[end + 1..])
+            } else if let Some(r) = rest.strip_prefix("true") {
+                (Val::Bool(true), r)
+            } else if let Some(r) = rest.strip_prefix("false") {
+                (Val::Bool(false), r)
+            } else {
+                let end = rest
+                    .find(|c: char| !c.is_ascii_digit())
+                    .unwrap_or(rest.len());
+                if end == 0 {
+                    return Err(format!("bad value near {rest:.12?}"));
+                }
+                let n = rest[..end]
+                    .parse()
+                    .map_err(|e| format!("bad number: {e}"))?;
+                (Val::U64(n), &rest[end..])
+            };
+            fields.push((key, val));
+            rest = tail.trim_start();
+            match rest.strip_prefix(',') {
+                Some(r) => rest = r.trim_start(),
+                None if rest.is_empty() => break,
+                None => return Err("expected ',' between fields".into()),
+            }
+        }
+        Ok(())
+    }
+
+    /// Parses every line of `input` with both readers and requires the
+    /// same result, reason and fields. Returns how many lines parsed.
+    fn assert_parses_as_oracle(input: &str, context: &str) -> usize {
+        let (mut line, mut oracle) = (Line::default(), Vec::new());
+        let mut ok = 0;
+        for text in input.lines() {
+            let got = line.parse(text);
+            assert_eq!(got, oracle_parse(&mut oracle, text), "{context}: {text:?}");
+            assert_eq!(line.fields, oracle, "{context}: {text:?}");
+            ok += usize::from(got.is_ok());
+        }
+        ok
+    }
+
+    #[test]
+    fn the_byte_scan_parses_every_fuzz_line_as_the_oracle_does() {
+        use jsonl_fuzz::{bit_flips, garbage_lines, truncations, FIXTURES};
+        let mut cases = 0;
+        for fixture in FIXTURES {
+            for (cut, prefix) in truncations(fixture) {
+                assert_parses_as_oracle(prefix, &format!("cut at byte {cut}"));
+                cases += 1;
+            }
+        }
+        for case in bit_flips().into_iter().chain(garbage_lines()) {
+            assert_parses_as_oracle(&case.input, &case.context);
+            cases += 1;
+        }
+        assert!(cases > 10_000, "{cases} cases");
+    }
+
+    #[test]
+    fn the_byte_scan_parses_edge_lines_as_the_oracle_does() {
+        let max = u64::MAX;
+        let cases = [
+            // Leading zeros are digits like any other.
+            r#"{"a":007,"b":0}"#.to_string(),
+            format!(r#"{{"a":{max}}}"#),
+            r#"{"a":18446744073709551616}"#.into(),
+            r#"{"a":99999999999999999999999}"#.into(),
+            // `str::trim` takes Unicode whitespace between tokens.
+            "\u{3000}{\u{a0}\"a\"\u{2003}:\u{85}1\u{2028},\t\"b\" :\x0btrue\u{200a}}\u{205f}"
+                .into(),
+            "{\"\u{a0}k\u{a0}\":\"\u{a0}v\u{a0}\"}".into(),
+            r#"{"a":"x\y"}"#.into(),
+            r#"{"a\":1}"#.into(),
+            "{}".into(),
+            "  {  }  ".into(),
+            r#"{"a":1,}"#.into(),
+            r#"{"a":1,,}"#.into(),
+            r#"{,}"#.into(),
+            r#"{"a":truex}"#.into(),
+            r#"{"a":fals}"#.into(),
+            r#"{"a":-1}"#.into(),
+            r#"{"a":1.5}"#.into(),
+            r#"{"a":"unterminated}"#.into(),
+            r#"{"a" 1}"#.into(),
+            r#"{"a":1 "b":2}"#.into(),
+            r#"{a:1}"#.into(),
+            "{\"a\":\"\u{e9}\u{ff}\"}".into(),
+            "[]".into(),
+            String::new(),
+        ];
+        for text in &cases {
+            assert_parses_as_oracle(text, "edge case");
+        }
+        let fields = |text: &'static str| {
+            let mut line = Line::default();
+            line.parse(text).map(|()| line.fields)
+        };
+        assert_eq!(
+            fields(r#"{"a":007,"b":18446744073709551615}"#),
+            Ok(vec![("a", Val::U64(7)), ("b", Val::U64(u64::MAX))])
+        );
+        assert_eq!(
+            fields(r#"{"a":18446744073709551616}"#),
+            Err("bad number: number too large to fit in target type".into())
+        );
+        assert_eq!(fields("{}"), Ok(vec![]));
+        assert_eq!(fields(r#"{"a":1,}"#), Ok(vec![("a", Val::U64(1))]));
+        assert_eq!(fields(r#"{"a":"x\y"}"#), Err("escapes unsupported".into()));
+        assert_eq!(
+            fields("{\u{3000}\"a\"\u{a0}:\u{2003}true}"),
+            Ok(vec![("a", Val::Bool(true))])
+        );
     }
 }

@@ -8,19 +8,24 @@
 //!
 //! - [`span_forest`] validates the link structure (every link resolves
 //!   to an *earlier* event; every span belongs to exactly one tree) and
-//!   indexes it.
-//! - [`critical_path`] walks one job's timeline from arrival to its
+//!   indexes it in a sorted `(span, event)` table.
+//! - [`critical_path`] follows one job's timeline from arrival to its
 //!   last-completing function and splits the end-to-end latency into
 //!   blame components — queue, admission, exec, checkpoint, restore,
 //!   fault-wait — that **sum exactly to the job's makespan** by
 //!   construction (each component is a disjoint segment of the
 //!   timeline).
-//! - [`aggregate_blame`] and [`blame_report`] roll per-job blame up to
-//!   the run: "where did this run's latency actually go?"
+//! - [`critical_paths`], [`aggregate_blame`] and [`blame_report`] roll
+//!   per-job blame up to the run: "where did this run's latency
+//!   actually go?"
+//!
+//! Each is one forward pass over the trace. The per-job and whole-run
+//! paths share one fold, so a whole-run report costs one pass, not one
+//! per job.
 
-use canary_platform::{FnId, JobId, SpanId, Trace, TraceKind};
+use canary_platform::{FnId, JobId, SpanId, Trace, TraceEvent, TraceKind};
+use canary_sim::hash::HashMap;
 use canary_sim::{SimDuration, SimTime};
-use std::collections::BTreeMap;
 use std::fmt;
 use std::fmt::Write as _;
 
@@ -65,7 +70,7 @@ impl Blame {
 }
 
 /// One contiguous segment of a job's critical path.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CpStep {
     /// Segment start.
     pub from: SimTime,
@@ -77,7 +82,7 @@ pub struct CpStep {
 
 /// A job's critical path: the contiguous chain of segments from arrival
 /// to the completion of its last-finishing function.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CriticalPath {
     /// The job.
     pub job: JobId,
@@ -145,19 +150,62 @@ impl fmt::Display for CausalError {
 
 impl std::error::Error for CausalError {}
 
-/// The validated span forest of a causal trace.
+/// The validated span forest of a causal trace, as flat indexes.
 #[derive(Debug, Clone, Default)]
 pub struct SpanForest {
-    /// Span id → index of the event that defined it.
-    pub defined: BTreeMap<u64, usize>,
-    /// Span id → root span of its containment tree (self for roots).
-    pub root_of: BTreeMap<u64, u64>,
+    /// `(span, index of the event that defined it)`, sorted.
+    defined: Vec<(u64, usize)>,
+    /// Root span of each event's containment tree, by event index (zero
+    /// for an event without a span).
+    roots: Vec<u64>,
+    /// Number of containment trees: spans without a parent.
+    trees: usize,
 }
 
 impl SpanForest {
+    /// Number of spans the trace defines.
+    pub fn span_count(&self) -> usize {
+        self.defined.len()
+    }
+
     /// Number of distinct containment trees.
     pub fn tree_count(&self) -> usize {
-        self.root_of.iter().filter(|(s, r)| s == r).count()
+        self.trees
+    }
+
+    /// Index of the event that defined `span`.
+    pub fn defined(&self, span: SpanId) -> Option<usize> {
+        let at = self.defined.partition_point(|&(s, _)| s < span.0);
+        match self.defined.get(at) {
+            Some(&(s, index)) if s == span.0 => Some(index),
+            _ => None,
+        }
+    }
+
+    /// Root span of `span`'s containment tree (itself for a root).
+    pub fn root_of(&self, span: SpanId) -> Option<SpanId> {
+        self.defined(span).map(|index| SpanId(self.roots[index]))
+    }
+
+    /// Index of the event an event's `link` names, which must precede
+    /// the linking event `index`. `None` for an absent link.
+    fn earlier(
+        &self,
+        index: usize,
+        field: &'static str,
+        link: SpanId,
+    ) -> Result<Option<usize>, CausalError> {
+        if link.is_none() {
+            return Ok(None);
+        }
+        match self.defined(link) {
+            Some(target) if target < index => Ok(Some(target)),
+            _ => Err(CausalError::UnresolvedLink {
+                event_index: index,
+                field,
+                target: link,
+            }),
+        }
     }
 }
 
@@ -167,196 +215,335 @@ impl SpanForest {
 /// every `parent` and `cause` link targets a span defined by an
 /// *earlier* event (so links are acyclic by construction); no event
 /// carries links without a span. Events without a span (a trace
-/// recorded with causal off) are skipped.
+/// recorded with causal off) are skipped. The error names the first
+/// offending event, checked in that order: links without a span, a
+/// repeated span, `parent`, `cause`.
 pub fn span_forest(trace: &Trace) -> Result<SpanForest, CausalError> {
-    let mut forest = SpanForest::default();
-    for (i, e) in trace.events.iter().enumerate() {
+    let events = &trace.events;
+    let mut defined: Vec<(u64, usize)> = events
+        .iter()
+        .enumerate()
+        .filter(|(_, e)| e.span.is_some())
+        .map(|(index, e)| (e.span.0, index))
+        .collect();
+    // A causal run hands out spans in emit order, so this confirms one
+    // ascending run in linear time.
+    defined.sort_unstable();
+    // A span's first claimant sorts first among its claimants; the
+    // earliest later claimant is the first repeat.
+    let repeat = defined
+        .windows(2)
+        .filter(|w| w[0].0 == w[1].0)
+        .map(|w| w[1].1)
+        .min();
+    let mut forest = SpanForest {
+        defined,
+        roots: vec![0; events.len()],
+        trees: 0,
+    };
+    for (i, e) in events.iter().enumerate() {
         if e.span.is_none() {
             if e.parent.is_some() || e.cause.is_some() {
                 return Err(CausalError::LinkWithoutSpan { event_index: i });
             }
             continue;
         }
-        if forest.defined.insert(e.span.0, i).is_some() {
+        if repeat == Some(i) {
             return Err(CausalError::DuplicateSpan {
                 span: e.span,
                 event_index: i,
             });
         }
-        for (field, link) in [("parent", e.parent), ("cause", e.cause)] {
-            if link.is_some() && !forest.defined.contains_key(&link.0) {
-                return Err(CausalError::UnresolvedLink {
-                    event_index: i,
-                    field,
-                    target: link,
-                });
+        let parent = forest.earlier(i, "parent", e.parent)?;
+        forest.earlier(i, "cause", e.cause)?;
+        forest.roots[i] = match parent {
+            Some(p) => forest.roots[p],
+            None => {
+                forest.trees += 1;
+                e.span.0
             }
-        }
-        let root = if e.parent.is_some() {
-            forest.root_of[&e.parent.0]
-        } else {
-            e.span.0
         };
-        forest.root_of.insert(e.span.0, root);
     }
     Ok(forest)
 }
 
-/// Compute one job's critical path from a causal trace.
-///
-/// Returns `None` when the job is absent, never completed a function,
-/// or the trace carries no causal links (nothing to attribute).
-pub fn critical_path(trace: &Trace, job: JobId) -> Option<CriticalPath> {
-    let events = &trace.events;
-    // Arrival defines the job's root span; submission ends the queue.
-    let (arrived_at, root) = events.iter().find_map(|e| match e.kind {
-        TraceKind::JobArrived { job: j } if j == job => Some((e.at, e.span)),
-        _ => None,
-    })?;
-    if root.is_none() {
-        return None;
-    }
-    let submitted_at = events.iter().find_map(|e| match e.kind {
-        TraceKind::JobSubmitted { job: j } if j == job => Some(e.at),
-        _ => None,
-    })?;
-    // The job's functions: attempts whose parent is the job root span.
-    // (fn → job is not derivable from the flat kinds alone; the causal
-    // parent link carries it.)
-    let mut job_fns: BTreeMap<FnId, SimTime> = BTreeMap::new();
-    for e in events {
-        if let TraceKind::AttemptStarted { fn_id, .. } = e.kind {
-            if e.parent == root {
-                job_fns.entry(fn_id).or_insert(e.at);
-            }
+/// Ends a function's list of job memberships.
+const NO_FN: u32 = u32::MAX;
+
+/// One closed segment of a function's timeline, labelled only if the
+/// function turns out to be its job's critical one.
+#[derive(Debug, Clone, Copy)]
+enum Seg {
+    /// An attempt window and the checkpoint cost written inside it.
+    Attempt {
+        attempt: u32,
+        completed: bool,
+        ckpt_us: u64,
+    },
+    /// A recovery gap and the restore estimate of its plan.
+    Gap { restore_us: u64 },
+}
+
+/// One function's timeline in one job: its open attempt or recovery
+/// gap, and its closed segments.
+struct FnFold {
+    /// Index of the job's [`JobFold`].
+    job: u32,
+    /// The function's next job membership, or [`NO_FN`]. A function
+    /// whose attempts hang off two jobs' roots is folded in both.
+    next: u32,
+    /// The function's first attempt under the job's root.
+    first_start: SimTime,
+    /// The open attempt: its start and number.
+    attempt: Option<(SimTime, u32)>,
+    ckpt_us: u64,
+    /// Start of the open recovery gap.
+    gap: Option<SimTime>,
+    restore_us: u64,
+    /// Closed segments: `(from, to, what)`, in time order.
+    segs: Vec<(SimTime, SimTime, Seg)>,
+    /// The latest completion, and how many segments it had closed.
+    done: Option<(SimTime, usize)>,
+}
+
+impl FnFold {
+    fn new(job: u32, next: u32, first_start: SimTime) -> Self {
+        FnFold {
+            job,
+            next,
+            first_start,
+            attempt: None,
+            ckpt_us: 0,
+            gap: None,
+            restore_us: 0,
+            segs: Vec::new(),
+            done: None,
         }
     }
-    // Critical function: the job's last-completing one.
-    let (critical_fn, completed_at) = events
-        .iter()
-        .filter_map(|e| match e.kind {
-            TraceKind::FunctionCompleted { fn_id } if job_fns.contains_key(&fn_id) => {
-                Some((fn_id, e.at))
-            }
-            _ => None,
-        })
-        .max_by_key(|&(f, t)| (t, f))?;
 
-    let mut blame = Blame {
-        queue: submitted_at.saturating_since(arrived_at),
-        ..Blame::default()
-    };
-    let mut steps = Vec::new();
-    if blame.queue > SimDuration::ZERO {
-        steps.push(CpStep {
-            from: arrived_at,
-            to: submitted_at,
-            label: "queue".into(),
-        });
+    fn close_attempt(&mut self, at: SimTime, completed: bool) {
+        if let Some((start, attempt)) = self.attempt.take() {
+            let seg = Seg::Attempt {
+                attempt,
+                completed,
+                ckpt_us: self.ckpt_us,
+            };
+            self.segs.push((start, at, seg));
+        }
     }
-    let first_start = job_fns[&critical_fn];
-    blame.admission = first_start.saturating_since(submitted_at);
-    steps.push(CpStep {
-        from: submitted_at,
-        to: first_start,
-        label: "admission + start".into(),
-    });
 
-    // Walk the critical function's own timeline. Attempt windows split
-    // into exec + checkpoint; inter-attempt gaps into restore +
-    // fault-wait. Segments are contiguous from `first_start` to
-    // `completed_at`, so the components sum to the makespan exactly.
-    let mut attempt_start: Option<(SimTime, u32)> = None;
-    let mut ckpt_us = 0u64;
-    let mut gap_start: Option<SimTime> = None;
-    let mut pending_restore_us = 0u64;
-    for e in events {
+    /// Fold one of the function's events. Returns the instant when the
+    /// event completes the function later than any completion before.
+    fn step(&mut self, e: &TraceEvent) -> Option<SimTime> {
         match e.kind {
-            TraceKind::AttemptStarted { fn_id, attempt, .. } if fn_id == critical_fn => {
-                if let Some(gs) = gap_start.take() {
-                    let gap_us = e.at.saturating_since(gs).as_micros();
-                    let restore_us = pending_restore_us.min(gap_us);
-                    blame.restore += SimDuration::from_micros(restore_us);
-                    blame.fault_wait += SimDuration::from_micros(gap_us - restore_us);
-                    steps.push(CpStep {
-                        from: gs,
-                        to: e.at,
-                        label: format!(
-                            "recovery gap (restore {}, wait {})",
-                            SimDuration::from_micros(restore_us),
-                            SimDuration::from_micros(gap_us - restore_us)
-                        ),
-                    });
+            TraceKind::AttemptStarted { attempt, .. } => {
+                if let Some(from) = self.gap.take() {
+                    let seg = Seg::Gap {
+                        restore_us: self.restore_us,
+                    };
+                    self.segs.push((from, e.at, seg));
                 }
-                attempt_start = Some((e.at, attempt));
-                ckpt_us = 0;
-                pending_restore_us = 0;
+                self.attempt = Some((e.at, attempt));
+                self.ckpt_us = 0;
+                self.restore_us = 0;
             }
-            TraceKind::CheckpointWritten { fn_id, cost, .. } if fn_id == critical_fn => {
-                ckpt_us += cost.as_micros();
+            TraceKind::CheckpointWritten { cost, .. } => self.ckpt_us += cost.as_micros(),
+            TraceKind::RecoveryPlanned { restore, .. } => self.restore_us = restore.as_micros(),
+            TraceKind::AttemptFailed { .. } => {
+                self.close_attempt(e.at, false);
+                self.gap = Some(e.at);
             }
-            TraceKind::RecoveryPlanned { fn_id, restore, .. } if fn_id == critical_fn => {
-                pending_restore_us = restore.as_micros();
-            }
-            TraceKind::AttemptFailed { fn_id, .. } if fn_id == critical_fn => {
-                if let Some((start, attempt)) = attempt_start.take() {
-                    let span_us = e.at.saturating_since(start).as_micros();
-                    let ck = ckpt_us.min(span_us);
-                    blame.checkpoint += SimDuration::from_micros(ck);
-                    blame.exec += SimDuration::from_micros(span_us - ck);
-                    steps.push(CpStep {
-                        from: start,
-                        to: e.at,
-                        label: format!("attempt {attempt} (failed)"),
-                    });
-                }
-                gap_start = Some(e.at);
-            }
-            TraceKind::FunctionCompleted { fn_id } if fn_id == critical_fn => {
-                if let Some((start, attempt)) = attempt_start.take() {
-                    let span_us = e.at.saturating_since(start).as_micros();
-                    let ck = ckpt_us.min(span_us);
-                    blame.checkpoint += SimDuration::from_micros(ck);
-                    blame.exec += SimDuration::from_micros(span_us - ck);
-                    steps.push(CpStep {
-                        from: start,
-                        to: e.at,
-                        label: format!("attempt {attempt} (completed)"),
-                    });
-                }
-                if e.at == completed_at {
-                    break;
+            TraceKind::FunctionCompleted { .. } => {
+                self.close_attempt(e.at, true);
+                if self.done.is_none_or(|(at, _)| e.at > at) {
+                    self.done = Some((e.at, self.segs.len()));
+                    return Some(e.at);
                 }
             }
             _ => {}
         }
+        None
     }
-
-    Some(CriticalPath {
-        job,
-        critical_fn,
-        arrived_at,
-        completed_at,
-        blame,
-        steps,
-    })
 }
 
-/// Critical paths for every job that completed, in `JobId` order.
-pub fn critical_paths(trace: &Trace) -> Vec<CriticalPath> {
-    let mut jobs: Vec<JobId> = trace
+/// One job's fold: its arrival, its submission and its latest function
+/// completion.
+struct JobFold {
+    job: JobId,
+    arrived_at: SimTime,
+    submitted_at: Option<SimTime>,
+    /// `(completed_at, fn, its FnFold)` of the last-completing function.
+    critical: Option<(SimTime, FnId, u32)>,
+}
+
+impl JobFold {
+    /// The critical path: queue and admission, then the critical
+    /// function's segments up to its latest completion.
+    fn path(&self, fns: &[FnFold]) -> Option<CriticalPath> {
+        let submitted_at = self.submitted_at?;
+        let (completed_at, critical_fn, f) = self.critical?;
+        let f = &fns[f as usize];
+        let (_, closed) = f.done?;
+        let mut blame = Blame {
+            queue: submitted_at.saturating_since(self.arrived_at),
+            admission: f.first_start.saturating_since(submitted_at),
+            ..Blame::default()
+        };
+        let mut steps = Vec::with_capacity(closed + 2);
+        if blame.queue > SimDuration::ZERO {
+            steps.push(CpStep {
+                from: self.arrived_at,
+                to: submitted_at,
+                label: "queue".into(),
+            });
+        }
+        steps.push(CpStep {
+            from: submitted_at,
+            to: f.first_start,
+            label: "admission + start".into(),
+        });
+        // Attempt windows split into exec + checkpoint, inter-attempt
+        // gaps into restore + fault-wait. The segments are contiguous
+        // from the first start to the completion, so the components
+        // sum to the makespan exactly.
+        for &(from, to, seg) in &f.segs[..closed] {
+            let span_us = to.saturating_since(from).as_micros();
+            let label = match seg {
+                Seg::Attempt {
+                    attempt,
+                    completed,
+                    ckpt_us,
+                } => {
+                    let ck = ckpt_us.min(span_us);
+                    blame.checkpoint += SimDuration::from_micros(ck);
+                    blame.exec += SimDuration::from_micros(span_us - ck);
+                    let fate = if completed { "completed" } else { "failed" };
+                    format!("attempt {attempt} ({fate})")
+                }
+                Seg::Gap { restore_us } => {
+                    let restore = SimDuration::from_micros(restore_us.min(span_us));
+                    let wait = SimDuration::from_micros(span_us - restore.as_micros());
+                    blame.restore += restore;
+                    blame.fault_wait += wait;
+                    format!("recovery gap (restore {restore}, wait {wait})")
+                }
+            };
+            steps.push(CpStep { from, to, label });
+        }
+        Some(CriticalPath {
+            job: self.job,
+            critical_fn,
+            arrived_at: self.arrived_at,
+            completed_at,
+            blame,
+            steps,
+        })
+    }
+}
+
+/// Critical paths of the jobs arriving in `events` (only of `only`, when
+/// given), in `JobId` order, from one forward pass.
+///
+/// Each event is routed to the jobs it belongs to: a submission by its
+/// job, an attempt by its parent (a job's root span) and every event of
+/// a function by the jobs it joined. A function joins a job at its first
+/// attempt whose parent is the job's root span.
+fn fold(events: &[TraceEvent], only: Option<JobId>) -> Vec<CriticalPath> {
+    let mut jobs: Vec<JobFold> = Vec::new();
+    let mut fns: Vec<FnFold> = Vec::new();
+    let mut job_fold: HashMap<JobId, u32> = HashMap::default();
+    let mut root_job: HashMap<u64, u32> = HashMap::default();
+    // A function's most recent membership; older ones follow `next`.
+    let mut fn_fold: HashMap<FnId, u32> = HashMap::default();
+    // The ids those maps hold lie in these ranges, so an event of a job
+    // outside the fold is skipped without hashing its ids.
+    let (mut roots, mut fn_ids) = ((u64::MAX, 0), (u64::MAX, 0));
+    let within = |(lo, hi): (u64, u64), id: u64| lo <= id && id <= hi;
+    for e in events {
+        let fn_id = match e.kind {
+            TraceKind::JobArrived { job } => {
+                if only.is_none_or(|j| j == job) && !job_fold.contains_key(&job) {
+                    let k = jobs.len() as u32;
+                    job_fold.insert(job, k);
+                    if e.span.is_some() {
+                        root_job.entry(e.span.0).or_insert(k);
+                        roots = (roots.0.min(e.span.0), roots.1.max(e.span.0));
+                    }
+                    jobs.push(JobFold {
+                        job,
+                        arrived_at: e.at,
+                        submitted_at: None,
+                        critical: None,
+                    });
+                }
+                continue;
+            }
+            TraceKind::JobSubmitted { job } => {
+                if let Some(&k) = job_fold.get(&job) {
+                    jobs[k as usize].submitted_at.get_or_insert(e.at);
+                }
+                continue;
+            }
+            TraceKind::AttemptStarted { fn_id, .. } => {
+                let job = within(roots, e.parent.0)
+                    .then(|| root_job.get(&e.parent.0).copied())
+                    .flatten();
+                if let Some(k) = job {
+                    let head = fn_fold.get(&fn_id).copied().unwrap_or(NO_FN);
+                    let mut m = head;
+                    while m != NO_FN && fns[m as usize].job != k {
+                        m = fns[m as usize].next;
+                    }
+                    if m == NO_FN {
+                        fn_fold.insert(fn_id, fns.len() as u32);
+                        fns.push(FnFold::new(k, head, e.at));
+                        fn_ids = (fn_ids.0.min(fn_id.0), fn_ids.1.max(fn_id.0));
+                    }
+                }
+                fn_id
+            }
+            TraceKind::CheckpointWritten { fn_id, .. }
+            | TraceKind::RecoveryPlanned { fn_id, .. }
+            | TraceKind::AttemptFailed { fn_id, .. }
+            | TraceKind::FunctionCompleted { fn_id } => fn_id,
+            _ => continue,
+        };
+        if !within(fn_ids, fn_id.0) {
+            continue;
+        }
+        let mut m = fn_fold.get(&fn_id).copied().unwrap_or(NO_FN);
+        while m != NO_FN {
+            let f = &mut fns[m as usize];
+            if let Some(at) = f.step(e) {
+                let job = &mut jobs[f.job as usize];
+                job.critical = job.critical.max(Some((at, fn_id, m)));
+            }
+            m = f.next;
+        }
+    }
+    let mut paths: Vec<CriticalPath> = jobs.iter().filter_map(|j| j.path(&fns)).collect();
+    paths.sort_by_key(|p| p.job);
+    paths
+}
+
+/// Compute one job's critical path from a causal trace.
+///
+/// Reads the trace from the job's arrival on: in a trace whose span
+/// forest validates, every event of the job's tree follows its root.
+/// Returns `None` when the job is absent, never completed a function,
+/// or the trace carries no causal links (nothing to attribute).
+pub fn critical_path(trace: &Trace, job: JobId) -> Option<CriticalPath> {
+    let arrival = trace
         .events
         .iter()
-        .filter_map(|e| match e.kind {
-            TraceKind::JobArrived { job } => Some(job),
-            _ => None,
-        })
-        .collect();
-    jobs.sort();
-    jobs.dedup();
-    jobs.into_iter()
-        .filter_map(|j| critical_path(trace, j))
-        .collect()
+        .position(|e| matches!(e.kind, TraceKind::JobArrived { job: j } if j == job))?;
+    fold(&trace.events[arrival..], Some(job)).pop()
+}
+
+/// Critical paths for every job that completed, in `JobId` order: the
+/// same fold as [`critical_path`], over every job at once, in one pass.
+pub fn critical_paths(trace: &Trace) -> Vec<CriticalPath> {
+    fold(&trace.events, None)
 }
 
 /// Sum per-job blame into run-level blame: where the run's total
@@ -554,10 +741,13 @@ mod tests {
     #[test]
     fn forest_validates_and_roots() {
         let forest = span_forest(&recovered_trace()).unwrap();
-        assert_eq!(forest.defined.len(), 9);
+        assert_eq!(forest.span_count(), 9);
+        assert_eq!(forest.tree_count(), 2);
         // Job tree rooted at span 1; the node failure is its own tree.
-        assert_eq!(forest.root_of[&9], 1);
-        assert_eq!(forest.root_of[&5], 5);
+        assert_eq!(forest.root_of(SpanId(9)), Some(SpanId(1)));
+        assert_eq!(forest.root_of(SpanId(5)), Some(SpanId(5)));
+        assert_eq!(forest.defined(SpanId(5)), Some(4));
+        assert_eq!(forest.defined(SpanId(10)), None);
     }
 
     #[test]

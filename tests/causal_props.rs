@@ -13,12 +13,18 @@
 //!   [`JobOutcome`](canary_platform::JobOutcome) accounting;
 //! - turning causal recording on never changes the simulated outcome.
 
+use canary_cluster::NodeId;
 use canary_core::ReplicationStrategyKind;
 use canary_experiments::{chaos, Observe, Scenario, StrategyKind};
-use canary_metrics::{aggregate_blame, critical_path, critical_paths, span_forest};
-use canary_platform::{JobSpec, SpanId, TraceKind};
+use canary_metrics::{
+    aggregate_blame, critical_path, critical_paths, span_forest, Blame, CausalError, CpStep,
+    CriticalPath,
+};
+use canary_platform::{FnId, JobId, JobSpec, SpanId, Trace, TraceEvent, TraceKind};
+use canary_sim::{SimDuration, SimTime};
 use canary_workloads::WorkloadSpec;
 use proptest::prelude::*;
+use std::collections::BTreeMap;
 
 const CANARY: StrategyKind = StrategyKind::Canary(ReplicationStrategyKind::Dynamic);
 
@@ -46,18 +52,22 @@ proptest! {
             // forest build below).
             prop_assert!(r.trace.events.iter().all(|e| e.span.is_some()));
             let forest = span_forest(&r.trace).expect("valid forest");
-            prop_assert_eq!(forest.defined.len(), r.trace.events.len());
+            prop_assert_eq!(forest.span_count(), r.trace.events.len());
             // Exactly one tree per span: root_of is total over spans
             // and every root maps to itself.
-            for (span, root) in &forest.root_of {
-                prop_assert!(forest.defined.contains_key(span));
-                prop_assert_eq!(forest.root_of[root], *root);
+            let mut roots = 0;
+            for e in &r.trace.events {
+                let root = forest.root_of(e.span).expect("every span has a root");
+                prop_assert_eq!(forest.root_of(root), Some(root));
+                roots += usize::from(root == e.span);
             }
+            prop_assert_eq!(forest.tree_count(), roots);
             // Links point strictly backwards in emit order.
             for (i, e) in r.trace.events.iter().enumerate() {
+                prop_assert_eq!(forest.defined(e.span), Some(i));
                 for link in [e.parent, e.cause] {
                     if link.is_some() {
-                        prop_assert!(forest.defined[&link.0] < i);
+                        prop_assert!(forest.defined(link).expect("link resolves") < i);
                     }
                 }
             }
@@ -201,4 +211,296 @@ fn causal_off_leaves_no_links() {
         .iter()
         .all(|e| e.span == SpanId::NONE && e.parent == SpanId::NONE && e.cause == SpanId::NONE));
     assert!(!canary_experiments::trace_to_jsonl(&r.trace).contains("\"span\""));
+}
+
+/// The four-scan critical path the one-pass fold replaced, kept as its
+/// oracle. It reads the whole trace once per question: the arrival, the
+/// submission, the job's functions, their completions, and the critical
+/// function's timeline.
+fn oracle_critical_path(trace: &Trace, job: JobId) -> Option<CriticalPath> {
+    let events = &trace.events;
+    // Arrival defines the job's root span; submission ends the queue.
+    let (arrived_at, root) = events.iter().find_map(|e| match e.kind {
+        TraceKind::JobArrived { job: j } if j == job => Some((e.at, e.span)),
+        _ => None,
+    })?;
+    if root.is_none() {
+        return None;
+    }
+    let submitted_at = events.iter().find_map(|e| match e.kind {
+        TraceKind::JobSubmitted { job: j } if j == job => Some(e.at),
+        _ => None,
+    })?;
+    // The job's functions: attempts whose parent is the job root span.
+    // (fn → job is not derivable from the flat kinds alone; the causal
+    // parent link carries it.)
+    let mut job_fns: BTreeMap<FnId, SimTime> = BTreeMap::new();
+    for e in events {
+        if let TraceKind::AttemptStarted { fn_id, .. } = e.kind {
+            if e.parent == root {
+                job_fns.entry(fn_id).or_insert(e.at);
+            }
+        }
+    }
+    // Critical function: the job's last-completing one.
+    let (critical_fn, completed_at) = events
+        .iter()
+        .filter_map(|e| match e.kind {
+            TraceKind::FunctionCompleted { fn_id } if job_fns.contains_key(&fn_id) => {
+                Some((fn_id, e.at))
+            }
+            _ => None,
+        })
+        .max_by_key(|&(f, t)| (t, f))?;
+
+    let mut blame = Blame {
+        queue: submitted_at.saturating_since(arrived_at),
+        ..Default::default()
+    };
+    let mut steps = Vec::new();
+    if blame.queue > SimDuration::ZERO {
+        steps.push(CpStep {
+            from: arrived_at,
+            to: submitted_at,
+            label: "queue".into(),
+        });
+    }
+    let first_start = job_fns[&critical_fn];
+    blame.admission = first_start.saturating_since(submitted_at);
+    steps.push(CpStep {
+        from: submitted_at,
+        to: first_start,
+        label: "admission + start".into(),
+    });
+
+    // Walk the critical function's own timeline. Attempt windows split
+    // into exec + checkpoint; inter-attempt gaps into restore +
+    // fault-wait. Segments are contiguous from `first_start` to
+    // `completed_at`, so the components sum to the makespan exactly.
+    let mut attempt_start: Option<(SimTime, u32)> = None;
+    let mut ckpt_us = 0u64;
+    let mut gap_start: Option<SimTime> = None;
+    let mut pending_restore_us = 0u64;
+    for e in events {
+        match e.kind {
+            TraceKind::AttemptStarted { fn_id, attempt, .. } if fn_id == critical_fn => {
+                if let Some(gs) = gap_start.take() {
+                    let gap_us = e.at.saturating_since(gs).as_micros();
+                    let restore_us = pending_restore_us.min(gap_us);
+                    blame.restore += SimDuration::from_micros(restore_us);
+                    blame.fault_wait += SimDuration::from_micros(gap_us - restore_us);
+                    steps.push(CpStep {
+                        from: gs,
+                        to: e.at,
+                        label: format!(
+                            "recovery gap (restore {}, wait {})",
+                            SimDuration::from_micros(restore_us),
+                            SimDuration::from_micros(gap_us - restore_us)
+                        ),
+                    });
+                }
+                attempt_start = Some((e.at, attempt));
+                ckpt_us = 0;
+                pending_restore_us = 0;
+            }
+            TraceKind::CheckpointWritten { fn_id, cost, .. } if fn_id == critical_fn => {
+                ckpt_us += cost.as_micros();
+            }
+            TraceKind::RecoveryPlanned { fn_id, restore, .. } if fn_id == critical_fn => {
+                pending_restore_us = restore.as_micros();
+            }
+            TraceKind::AttemptFailed { fn_id, .. } if fn_id == critical_fn => {
+                if let Some((start, attempt)) = attempt_start.take() {
+                    let span_us = e.at.saturating_since(start).as_micros();
+                    let ck = ckpt_us.min(span_us);
+                    blame.checkpoint += SimDuration::from_micros(ck);
+                    blame.exec += SimDuration::from_micros(span_us - ck);
+                    steps.push(CpStep {
+                        from: start,
+                        to: e.at,
+                        label: format!("attempt {attempt} (failed)"),
+                    });
+                }
+                gap_start = Some(e.at);
+            }
+            TraceKind::FunctionCompleted { fn_id } if fn_id == critical_fn => {
+                if let Some((start, attempt)) = attempt_start.take() {
+                    let span_us = e.at.saturating_since(start).as_micros();
+                    let ck = ckpt_us.min(span_us);
+                    blame.checkpoint += SimDuration::from_micros(ck);
+                    blame.exec += SimDuration::from_micros(span_us - ck);
+                    steps.push(CpStep {
+                        from: start,
+                        to: e.at,
+                        label: format!("attempt {attempt} (completed)"),
+                    });
+                }
+                if e.at == completed_at {
+                    break;
+                }
+            }
+            _ => {}
+        }
+    }
+
+    Some(CriticalPath {
+        job,
+        critical_fn,
+        arrived_at,
+        completed_at,
+        blame,
+        steps,
+    })
+}
+
+/// Every job's one-pass critical path equals the oracle's, field for
+/// field and step for step, and the whole-run fold equals the per-job
+/// results. Returns the number of paths and of recovery gaps on them.
+fn assert_blame_matches_oracle(trace: &Trace, context: &str) -> (usize, usize) {
+    let mut jobs: Vec<JobId> = trace
+        .events
+        .iter()
+        .filter_map(|e| match e.kind {
+            TraceKind::JobArrived { job } => Some(job),
+            _ => None,
+        })
+        .collect();
+    jobs.sort();
+    jobs.dedup();
+    let mut expected = Vec::new();
+    for job in jobs {
+        let oracle = oracle_critical_path(trace, job);
+        assert_eq!(critical_path(trace, job), oracle, "{context}: {job}");
+        expected.extend(oracle);
+    }
+    assert_eq!(critical_paths(trace), expected, "{context}: whole run");
+    let gaps = expected
+        .iter()
+        .flat_map(|p| &p.steps)
+        .filter(|s| s.label.starts_with("recovery gap"))
+        .count();
+    (expected.len(), gaps)
+}
+
+/// The one-pass blame equals the four-scan oracle on every curated chaos
+/// scenario under every strategy at the pinned seeds, and on chameleon
+/// runs whose jobs own up to 200 functions.
+#[test]
+fn one_pass_blame_matches_the_four_scan_oracle() {
+    const CAUSAL: Observe = Observe {
+        trace: true,
+        causal: true,
+        profile: false,
+    };
+    let strategies = [
+        StrategyKind::Retry,
+        CANARY,
+        StrategyKind::CanaryMigrate,
+        StrategyKind::RequestReplication(2),
+        StrategyKind::ActiveStandby,
+        StrategyKind::Ideal,
+    ];
+    let (mut paths, mut gaps) = (0, 0);
+    let mut tally = |(p, g): (usize, usize)| {
+        paths += p;
+        gaps += g;
+    };
+    for name in chaos::SCENARIOS {
+        let scenario = chaos::demo_scenario(chaos::named(name).expect("curated scenario"));
+        for kind in strategies {
+            for seed in [7, 42, 1337] {
+                let r = scenario.run(kind, seed, CAUSAL);
+                tally(assert_blame_matches_oracle(
+                    &r.trace,
+                    &format!("{name} {} seed {seed}", kind.label()),
+                ));
+            }
+        }
+    }
+    for (invocations, seed) in [(1, 3), (25, 5), (200, 11)] {
+        let jobs = vec![
+            JobSpec::new(WorkloadSpec::web_service(10), invocations),
+            JobSpec::new(WorkloadSpec::web_service(10), 7),
+        ];
+        for kind in [StrategyKind::Retry, CANARY] {
+            let r = Scenario::chameleon(0.3, jobs.clone()).run(kind, seed, CAUSAL);
+            tally(assert_blame_matches_oracle(
+                &r.trace,
+                &format!("chameleon {invocations} {} seed {seed}", kind.label()),
+            ));
+        }
+    }
+    assert!(
+        paths > 150 && gaps > 0,
+        "{paths} paths, {gaps} recovery gaps"
+    );
+}
+
+fn event(span: u64, parent: u64, cause: u64) -> TraceEvent {
+    let mut e = TraceEvent::new(SimTime::ZERO, TraceKind::NodeFailed { node: NodeId(0) });
+    e.span = SpanId(span);
+    e.parent = SpanId(parent);
+    e.cause = SpanId(cause);
+    e
+}
+
+/// The forest names the first offending event, and within one event
+/// the first fault in the order: links without a span, a repeated span,
+/// `parent`, `cause`.
+#[test]
+fn forest_errors_keep_their_precedence() {
+    let forest = |events: Vec<TraceEvent>| span_forest(&Trace { events });
+    // A repeated span that also carries a dangling link is a duplicate.
+    assert_eq!(
+        forest(vec![event(1, 0, 0), event(1, 9, 9)]).unwrap_err(),
+        CausalError::DuplicateSpan {
+            span: SpanId(1),
+            event_index: 1,
+        }
+    );
+    // Both links dangling: the parent is named.
+    assert_eq!(
+        forest(vec![event(1, 0, 0), event(2, 8, 9)]).unwrap_err(),
+        CausalError::UnresolvedLink {
+            event_index: 1,
+            field: "parent",
+            target: SpanId(8),
+        }
+    );
+    assert_eq!(
+        forest(vec![event(1, 0, 0), event(2, 1, 9)]).unwrap_err(),
+        CausalError::UnresolvedLink {
+            event_index: 1,
+            field: "cause",
+            target: SpanId(9),
+        }
+    );
+    // Links without a span outrank everything on their event, and the
+    // earlier event's fault outranks a later one's.
+    assert_eq!(
+        forest(vec![event(1, 0, 0), event(0, 7, 0), event(1, 0, 0)]).unwrap_err(),
+        CausalError::LinkWithoutSpan { event_index: 1 }
+    );
+    // A link must name an earlier event: a span defined later, or the
+    // event's own span, does not resolve.
+    for (parent, cause) in [(2, 0), (0, 2), (1, 0)] {
+        let err = forest(vec![event(1, parent, cause), event(2, 0, 0)]).unwrap_err();
+        assert!(
+            matches!(err, CausalError::UnresolvedLink { event_index: 0, .. }),
+            "{err}"
+        );
+    }
+    // Spans out of emit order still index and root correctly.
+    let f = forest(vec![
+        event(5, 0, 0),
+        event(3, 5, 0),
+        event(4, 3, 5),
+        event(9, 0, 4),
+    ])
+    .unwrap();
+    assert_eq!((f.span_count(), f.tree_count()), (4, 2));
+    assert_eq!(f.defined(SpanId(4)), Some(2));
+    assert_eq!(f.root_of(SpanId(4)), Some(SpanId(5)));
+    assert_eq!(f.root_of(SpanId(9)), Some(SpanId(9)));
+    assert_eq!(f.root_of(SpanId(6)), None);
 }
