@@ -482,11 +482,6 @@ fn skip_space_from(text: &str, mut at: usize) -> usize {
     at
 }
 
-/// The index of the first `byte` at or after `at`.
-fn find_byte(bytes: &[u8], at: usize, byte: u8) -> Option<usize> {
-    bytes[at..].iter().position(|&b| b == byte).map(|i| at + i)
-}
-
 /// The closing quote of a string whose first byte is at `at`, and
 /// whether a backslash comes before it.
 fn string_end(bytes: &[u8], at: usize) -> Option<(usize, bool)> {
@@ -522,7 +517,11 @@ impl<'a> Line<'a> {
                 return Err("expected quoted key".into());
             }
             let start = skip_space(body, at + 1);
-            let end = find_byte(bytes, start, b'"').ok_or("unterminated key")?;
+            let end = bytes[start..]
+                .iter()
+                .position(|&b| b == b'"')
+                .ok_or("unterminated key")?
+                + start;
             let key = &body[start..end];
             at = skip_space(body, end + 1);
             if bytes.get(at) != Some(&b':') {
@@ -1325,17 +1324,14 @@ mod tests {
     }
 
     /// Parses every line of `input` with both readers and requires the
-    /// same result, reason and fields. Returns how many lines parsed.
-    fn assert_parses_as_oracle(input: &str, context: &str) -> usize {
+    /// same result, reason and fields.
+    fn assert_parses_as_oracle(input: &str, context: &str) {
         let (mut line, mut oracle) = (Line::default(), Vec::new());
-        let mut ok = 0;
         for text in input.lines() {
             let got = line.parse(text);
             assert_eq!(got, oracle_parse(&mut oracle, text), "{context}: {text:?}");
             assert_eq!(line.fields, oracle, "{context}: {text:?}");
-            ok += usize::from(got.is_ok());
         }
-        ok
     }
 
     #[test]

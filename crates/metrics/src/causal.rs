@@ -272,7 +272,7 @@ const NO_FN: u32 = u32::MAX;
 
 /// One closed segment of a function's timeline, labelled only if the
 /// function turns out to be its job's critical one.
-#[derive(Debug, Clone, Copy)]
+#[derive(Clone, Copy)]
 enum Seg {
     /// An attempt window and the checkpoint cost written inside it.
     Attempt {
