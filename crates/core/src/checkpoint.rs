@@ -80,52 +80,76 @@ pub fn build_payload(
     now: SimTime,
     block: usize,
 ) -> Bytes {
-    let mut out = Vec::with_capacity(block.max(1) * (PAYLOAD_STATE_BLOCKS as usize + 1));
-    build_payload_into(fn_id, state_index, billed_bytes, now, block, &mut out);
+    let block = block.max(1);
+    let mut out = Vec::with_capacity(block * (PAYLOAD_STATE_BLOCKS as usize + 1));
+    write_header(&mut out, fn_id, state_index, billed_bytes, now, block);
+    for i in 1..=PAYLOAD_STATE_BLOCKS {
+        write_block(&mut out, fn_id, i, block_key(state_index, i), block);
+    }
     Bytes::from(out)
 }
 
-/// [`build_payload`] writing into a caller-owned buffer (cleared first).
-/// The record hot path reuses one scratch `Vec` across every checkpoint
-/// and copies the finished image into a single refcounted buffer; the
-/// bytes are identical to what [`build_payload`] returns.
-pub fn build_payload_into(
+/// Append an image's header: the function's state record, the same wire
+/// bytes `Encoder` would produce (plain little-endian fields, no length
+/// prefixes), zero-padded to a whole number of blocks. `out` starts
+/// empty.
+fn write_header(
+    out: &mut Vec<u8>,
     fn_id: u64,
     state_index: u32,
     billed_bytes: u64,
     now: SimTime,
     block: usize,
-    out: &mut Vec<u8>,
 ) {
-    let block = block.max(1);
-    out.clear();
-    // Header record, the same wire bytes `Encoder` would produce
-    // (plain little-endian fields, no length prefixes).
     out.push(1);
     out.extend_from_slice(&fn_id.to_le_bytes());
     out.extend_from_slice(&state_index.to_le_bytes());
     out.extend_from_slice(&billed_bytes.to_le_bytes());
     out.extend_from_slice(&now.as_micros().to_le_bytes());
     out.resize(out.len().div_ceil(block) * block, 0);
-    for i in 1..=PAYLOAD_STATE_BLOCKS {
-        // The most recent state at which this block churned; wrapping is
-        // fine — every pre-first-churn state maps to the same sentinel.
-        let last_churn = state_index.wrapping_sub((state_index + i) % PAYLOAD_CHURN_PERIOD);
-        let mut seed = [0u8; 16];
-        seed[..8].copy_from_slice(&fn_id.to_le_bytes());
-        seed[8..12].copy_from_slice(&i.to_le_bytes());
-        seed[12..].copy_from_slice(&last_churn.to_le_bytes());
-        let mut s = fnv1a64(&seed) | 1;
-        let end = out.len() + block;
-        while out.len() < end {
-            s ^= s << 13;
-            s ^= s >> 7;
-            s ^= s << 17;
-            let bytes = s.to_le_bytes();
-            let take = (end - out.len()).min(8);
-            out.extend_from_slice(&bytes[..take]);
-        }
+}
+
+/// The block key of state block `i` at state `state_index`: the most
+/// recent state at which the block churned. The block's bytes are a
+/// pure function of `(fn_id, i, key)` and the block size. Wrapping is
+/// fine — every pre-first-churn state maps to the same sentinel.
+fn block_key(state_index: u32, i: u32) -> u32 {
+    state_index.wrapping_sub((state_index + i) % PAYLOAD_CHURN_PERIOD)
+}
+
+/// Append state block `i` with block key `key`: `block` bytes of an
+/// xorshift stream seeded from `(fn_id, i, key)`.
+fn write_block(out: &mut Vec<u8>, fn_id: u64, i: u32, key: u32, block: usize) {
+    let mut seed = [0u8; 16];
+    seed[..8].copy_from_slice(&fn_id.to_le_bytes());
+    seed[8..12].copy_from_slice(&i.to_le_bytes());
+    seed[12..].copy_from_slice(&key.to_le_bytes());
+    let mut s = fnv1a64(&seed) | 1;
+    let end = out.len() + block;
+    while out.len() < end {
+        s ^= s << 13;
+        s ^= s >> 7;
+        s ^= s << 17;
+        let bytes = s.to_le_bytes();
+        let take = (end - out.len()).min(8);
+        out.extend_from_slice(&bytes[..take]);
     }
+}
+
+/// A checkpoint image ready to commit.
+struct Image {
+    /// Chunk hashes in payload order; empty on the blob-oracle path.
+    hashes: Vec<u64>,
+    /// The chunks built for this image, back to back in payload order:
+    /// every position not in `clean` (the whole payload on the blob path).
+    fresh: Bytes,
+    /// Positions whose body the newest retained image already stored,
+    /// bit `p` for position `p`.
+    clean: u64,
+    total_bytes: u64,
+    /// The state a synthetic image was built at; `None` for a
+    /// caller-supplied payload.
+    state: Option<u32>,
 }
 
 /// One retained checkpoint: where its stored bytes live and, on the
@@ -137,6 +161,10 @@ struct Retained {
     location: Bytes,
     /// Resolved chunk hashes; empty on the blob-oracle path.
     hashes: Vec<u64>,
+    /// The state a synthetic image was built at (`None` for a
+    /// caller-supplied payload): only synthetic images serve as the
+    /// base of a dirty-block image.
+    state: Option<u32>,
     /// Chunks (and their bytes) this checkpoint stored that the chunk
     /// store did not already hold.
     new_chunks: u32,
@@ -263,12 +291,14 @@ pub struct CheckpointingModule {
     fns: HashMap<u64, FnCheckpoints>,
     /// Content-addressed chunk bodies (the shared checkpoint-data tier).
     chunks: ChunkStore,
-    /// Record-path scratch (DESIGN.md §15): the payload image builds in
-    /// `payload_scratch`, the manifest encodes through `manifest_ops` +
+    /// Record-path scratch (DESIGN.md §15): the header and dirty blocks
+    /// of an image build in `payload_scratch` and hash into
+    /// `dirty_hashes`, the manifest encodes through `manifest_ops` +
     /// `manifest_enc`, and retired manifests donate their hash vectors
     /// back through `hash_pool`. Steady-state checkpointing allocates
     /// only the refcounted buffers it hands out, never this scratch.
     payload_scratch: Vec<u8>,
+    dirty_hashes: Vec<u64>,
     manifest_enc: Encoder,
     manifest_ops: Vec<(u8, u32, u64)>,
     hash_pool: Vec<Vec<u64>>,
@@ -300,6 +330,7 @@ impl CheckpointingModule {
             fns: HashMap::default(),
             chunks: ChunkStore::new(),
             payload_scratch: Vec::new(),
+            dirty_hashes: Vec::new(),
             manifest_enc: Encoder::new(),
             manifest_ops: Vec::new(),
             hash_pool: Vec::new(),
@@ -336,10 +367,20 @@ impl CheckpointingModule {
         tier.write_time(bytes) + StorageTier::KvStore.write_time(256)
     }
 
-    /// Record one durable state (Algorithm 1 body). Builds the
-    /// deterministic checkpoint image for this state and stores it via
-    /// [`Self::record_payload`]. Returns the evicted checkpoint id when
-    /// the window overflowed.
+    /// Record one durable state (Algorithm 1 body): build the
+    /// deterministic checkpoint image for this state and store it.
+    /// Returns the evicted checkpoint id when the window overflowed.
+    ///
+    /// A small *real* payload: the function's registered state record
+    /// plus synthetic state blocks with realistic churn. Sizes are billed
+    /// through `write_cost`; storing multi-GB synthetic blobs would add
+    /// nothing but memory pressure. On the chunked path only the header
+    /// and the *dirty* blocks are built and hashed: a block whose key
+    /// equals the same block's key in the function's newest retained
+    /// image has that image's bytes, so its hash sits at the same
+    /// manifest position and its body is already stored (DESIGN.md §14).
+    /// The manifest, the chunk bodies and every count are those of the
+    /// whole image.
     pub fn record(
         &mut self,
         job_id: u32,
@@ -348,33 +389,62 @@ impl CheckpointingModule {
         spec_bytes: u64,
         now: SimTime,
     ) -> Result<Option<u64>, DbError> {
-        // A small *real* payload: the function's registered state record
-        // plus synthetic state blocks with realistic churn. Sizes are
-        // billed through `write_cost`; storing multi-GB synthetic blobs
-        // would add nothing but memory pressure. The image builds in the
-        // module's scratch buffer and lands in one refcounted copy.
-        let mut scratch = std::mem::take(&mut self.payload_scratch);
-        build_payload_into(
-            fn_id,
-            state_index,
-            self.effective_bytes(spec_bytes),
-            now,
-            self.options.chunk_size,
-            &mut scratch,
-        );
-        let payload = Bytes::copy_from_slice(&scratch);
-        self.payload_scratch = scratch;
-        self.record_payload(job_id, fn_id, state_index, spec_bytes, now, payload)
+        let billed = self.effective_bytes(spec_bytes);
+        let block = self.options.chunk_size.max(1);
+        if self.options.blob_oracle {
+            let payload = build_payload(fn_id, state_index, billed, now, block);
+            return self.record_payload(job_id, fn_id, state_index, spec_bytes, now, payload);
+        }
+        let base = self
+            .fns
+            .get(&fn_id)
+            .and_then(|f| f.retained.back())
+            .and_then(|r| Some((r.state?, r.hashes.as_slice())));
+        let scratch = &mut self.payload_scratch;
+        scratch.clear();
+        write_header(scratch, fn_id, state_index, billed, now, block);
+        let header_chunks = scratch.len() / block;
+        let chunks = header_chunks + PAYLOAD_STATE_BLOCKS as usize;
+        // The header record is 29 bytes, so an image has at most 41
+        // chunks and every position has a bit in `clean`.
+        debug_assert!(chunks <= 64, "an image's positions fit the clean mask");
+        let mut clean = 0u64;
+        for i in 1..=PAYLOAD_STATE_BLOCKS {
+            let key = block_key(state_index, i);
+            let at = header_chunks + i as usize - 1;
+            // A clean block whose body the store lacks is rebuilt.
+            let stored = base.is_some_and(|(state, hashes)| {
+                block_key(state, i) == key
+                    && hashes.get(at).is_some_and(|&h| self.chunks.refs(h) > 0)
+            });
+            if stored {
+                clean |= 1 << at;
+            } else {
+                write_block(scratch, fn_id, i, key, block);
+            }
+        }
+        hash_chunks_into(scratch, block, 1, &mut self.dirty_hashes);
+        let mut hashes = self.hash_pool.pop().unwrap_or_default();
+        let mut dirty = self.dirty_hashes.iter().copied();
+        hashes.extend((0..chunks).map(|at| match base {
+            Some((_, base)) if clean >> at & 1 == 1 => base[at],
+            _ => dirty.next().expect("one hash per built chunk"),
+        }));
+        let image = Image {
+            hashes,
+            fresh: Bytes::copy_from_slice(scratch),
+            clean,
+            total_bytes: (chunks * block) as u64,
+            state: Some(state_index),
+        };
+        self.commit(job_id, fn_id, state_index, spec_bytes, now, image)
     }
 
-    /// Record one durable state with a caller-supplied payload image (the
-    /// differential suite drives arbitrary payloads through both storage
-    /// paths). Exactly one location-keyed database put happens per
-    /// checkpoint in either mode — in blob mode the payload itself, in
-    /// chunked mode the manifest, while chunk bodies live in the
-    /// content-addressed store. The checkpoint enters the window, and its
-    /// chunk bodies the store, only once the database commit succeeded: a
-    /// failed commit leaves nothing behind but its spent id.
+    /// Record one durable state with a caller-supplied payload image,
+    /// chunked and hashed whole. Its callers are [`Self::record`] on the
+    /// blob-oracle path, which stores the whole image, and the
+    /// differential test that holds `record`'s dirty-block images to
+    /// whole ones (`crates/core/tests/dirty_images.rs`).
     pub fn record_payload(
         &mut self,
         job_id: u32,
@@ -383,6 +453,37 @@ impl CheckpointingModule {
         spec_bytes: u64,
         now: SimTime,
         payload: Bytes,
+    ) -> Result<Option<u64>, DbError> {
+        let mut hashes = Vec::new();
+        if !self.options.blob_oracle {
+            hashes = self.hash_pool.pop().unwrap_or_default();
+            hash_chunks_into(&payload, self.options.chunk_size.max(1), 1, &mut hashes);
+        }
+        let image = Image {
+            hashes,
+            total_bytes: payload.len() as u64,
+            fresh: payload,
+            clean: 0,
+            state: None,
+        };
+        self.commit(job_id, fn_id, state_index, spec_bytes, now, image)
+    }
+
+    /// Store one checkpoint image. Exactly one location-keyed database
+    /// put happens per checkpoint in either mode — in blob mode the
+    /// payload itself, in chunked mode the manifest, delta-encoded
+    /// against the newest retained checkpoint, while chunk bodies live in
+    /// the content-addressed store. The checkpoint enters the window, and
+    /// its chunk bodies the store, only once the database commit
+    /// succeeded: a failed commit leaves nothing behind but its spent id.
+    fn commit(
+        &mut self,
+        job_id: u32,
+        fn_id: u64,
+        state_index: u32,
+        spec_bytes: u64,
+        now: SimTime,
+        image: Image,
     ) -> Result<Option<u64>, DbError> {
         let bytes = self.effective_bytes(spec_bytes);
         let tier = self.hierarchy.place(bytes);
@@ -398,26 +499,20 @@ impl CheckpointingModule {
             spill_location(tier_ordinal(tier), fn_id, ckpt_id)
         };
 
-        let chunk = self.options.chunk_size.max(1);
-        let (stored, hashes) = if self.options.blob_oracle {
-            (Bytes::clone(&payload), Vec::new())
+        let stored = if self.options.blob_oracle {
+            Bytes::clone(&image.fresh)
         } else {
-            // Hash every chunk window up front into a pooled hash vector,
-            // and delta-encode the manifest against the newest retained
-            // checkpoint.
-            let mut hashes = self.hash_pool.pop().unwrap_or_default();
-            hash_chunks_into(&payload, chunk, 1, &mut hashes);
             let base = f.retained.back().map(|r| (r.ckpt_id, r.hashes.as_slice()));
             encode_manifest_into(
                 ckpt_id,
                 base,
-                &hashes,
-                payload.len() as u64,
-                sequence_digest(&hashes),
+                &image.hashes,
+                image.total_bytes,
+                sequence_digest(&image.hashes),
                 &mut self.manifest_ops,
                 &mut self.manifest_enc,
             );
-            (Bytes::copy_from_slice(self.manifest_enc.encoded()), hashes)
+            Bytes::copy_from_slice(self.manifest_enc.encoded())
         };
         // The stored buffer moves into the db put, which fans it out to
         // each KV replica as a refcount bump; no stored bytes are copied
@@ -438,15 +533,23 @@ impl CheckpointingModule {
             stored,
         );
         if let Err(e) = committed {
-            self.recycle(hashes);
+            self.recycle(image.hashes);
             return Err(e);
         }
 
-        // `slice` shares the payload allocation, so a newly stored chunk
-        // body costs a refcount bump, not a copy.
-        let (mut new_chunks, mut new_bytes) = (0u32, 0u64);
-        for (i, &hash) in hashes.iter().enumerate() {
-            let body = payload.slice(i * chunk..((i + 1) * chunk).min(payload.len()));
+        // A clean position adds a reference to the body its base stored;
+        // a built chunk's body is a `slice` of the fresh buffer, a
+        // refcount bump, not a copy.
+        let chunk = self.options.chunk_size.max(1);
+        let (mut new_chunks, mut new_bytes, mut at) = (0u32, 0u64, 0usize);
+        for (p, &hash) in image.hashes.iter().enumerate() {
+            if p < 64 && image.clean >> p & 1 == 1 {
+                let held = self.chunks.add_ref(hash);
+                debug_assert!(held, "a clean position's body is stored");
+                continue;
+            }
+            let body = image.fresh.slice(at..(at + chunk).min(image.fresh.len()));
+            at += body.len();
             let len = body.len() as u64;
             if self.chunks.insert_hashed(hash, body) {
                 new_chunks += 1;
@@ -456,10 +559,11 @@ impl CheckpointingModule {
         f.retained.push_back(Retained {
             ckpt_id,
             location,
-            hashes,
+            hashes: image.hashes,
+            state: image.state,
             new_chunks,
             new_bytes,
-            total_bytes: payload.len() as u64,
+            total_bytes: image.total_bytes,
         });
         let evicted = if f.retained.len() > self.window {
             f.retained.pop_front()

@@ -181,20 +181,27 @@ impl ChunkStore {
     /// time). Returns `newly_stored`.
     pub fn insert_hashed(&mut self, hash: u64, body: Bytes) -> bool {
         debug_assert_eq!(fnv1a64(&body), hash, "precomputed chunk hash mismatch");
-        match self.chunks.get_mut(&hash) {
-            Some(entry) => {
-                entry.refs += 1;
-                self.stats.deduped += 1;
-                self.stats.bytes_deduped += body.len() as u64;
-                false
-            }
-            None => {
-                self.stats.written += 1;
-                self.stats.bytes_written += body.len() as u64;
-                self.chunks.insert(hash, ChunkEntry { body, refs: 1 });
-                true
-            }
+        if self.add_ref(hash) {
+            return false;
         }
+        self.stats.written += 1;
+        self.stats.bytes_written += body.len() as u64;
+        self.chunks.insert(hash, ChunkEntry { body, refs: 1 });
+        true
+    }
+
+    /// Add one reference to the body stored under `hash`, counted as a
+    /// dedup exactly as [`Self::insert_hashed`] counts a body it already
+    /// holds (the record path's clean blocks). Returns false, changing
+    /// nothing, when no body is stored under `hash`.
+    pub(crate) fn add_ref(&mut self, hash: u64) -> bool {
+        let Some(entry) = self.chunks.get_mut(&hash) else {
+            return false;
+        };
+        entry.refs += 1;
+        self.stats.deduped += 1;
+        self.stats.bytes_deduped += entry.body.len() as u64;
+        true
     }
 
     /// Drop one reference; the body is removed when the count hits zero.

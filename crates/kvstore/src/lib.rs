@@ -7,8 +7,9 @@
 //! - [`ReplicatedKv`]: full-copy replication across cluster members with
 //!   crash / resynchronize semantics and a per-entry size limit
 //!   (Algorithm 1's `db_limit`). The group is one ordered
-//!   `Bytes -> Bytes` map whose entries record which members hold them,
-//!   so a write or remove is one map operation whatever the member count,
+//!   `Bytes -> Bytes` map per first key byte whose entries record which
+//!   members hold them, so a write or remove is one map operation
+//!   whatever the member count,
 //! - [`Wal`]: write-ahead log + compacting snapshots behind the replica
 //!   group — the "native persistence" half of the Ignite deployment,
 //!   which lets the control plane recover its metadata after a crash.

@@ -8,15 +8,18 @@
 //! survivor — which is what lets Canary recover functions after
 //! node-level failures (Fig. 11).
 //!
-//! The group is stored as one ordered map, not one map per member: each
-//! entry keeps its value once, with a bitmask of the members that hold
-//! it, beside a live-member mask and a count of the entries each member
-//! holds. Every write and remove reaches all live members and a failing
-//! member is wiped, so members that hold a key hold the same value; they
-//! differ only in which keys they hold after an empty rejoin, and the
-//! holder masks record exactly that. A put or remove is therefore one map
+//! The group is stored as one set of ordered maps, not one set per
+//! member: each entry keeps its value once, with a bitmask of the
+//! members that hold it, beside a live-member mask and a count of the
+//! entries each member holds. The entries are split into one B-tree per
+//! first key byte, so a key's tree holds only the keys that share its
+//! first byte; walking the trees in byte order gives key order. Every
+//! write and remove reaches all live members and a failing member is
+//! wiped, so members that hold a key hold the same value; they differ
+//! only in which keys they hold after an empty rejoin, and the holder
+//! masks record exactly that. A put or remove is therefore one map
 //! operation under one lock, whatever the member count. Membership events
-//! (failure, recovery, empty rejoin) walk the map once and bump a
+//! (failure, recovery, empty rejoin) walk the maps once and bump a
 //! [generation counter](ReplicatedKv::generation) so caches layered above
 //! the group can detect that the backing data may have changed under them.
 //!
@@ -96,9 +99,20 @@ struct Cut {
     len: usize,
 }
 
+/// The tree of `key`: its first byte (the empty key, which sorts first,
+/// lives in tree 0).
+fn tree_of(key: &[u8]) -> usize {
+    key.first().map_or(0, |&b| usize::from(b))
+}
+
 /// The contents of every member. Each entry's holders are a non-empty
 /// subset of `live` (a member that is down holds nothing), and
 /// `counts[m]` is the number of entries member `m` holds.
+///
+/// `trees[b]` holds the entries whose key starts with byte `b`. The
+/// db's typed keys start with their table tag, so a put or remove of a
+/// checkpoint row walks a tree of that table's rows, not one that also
+/// holds every job and function row.
 ///
 /// While `cut` is pending, the entries as they stood at the cut are
 /// exactly those with `epoch` below the group's plus those in `undo`:
@@ -108,7 +122,7 @@ struct Cut {
 /// before the cut is built, because membership changes build it first.
 #[derive(Debug)]
 struct Group {
-    map: BTreeMap<Bytes, Held>,
+    trees: [BTreeMap<Bytes, Held>; 256],
     live: u64,
     counts: Vec<usize>,
     /// Cuts taken so far.
@@ -130,7 +144,7 @@ impl Group {
     /// A group of `members` live members holding nothing.
     fn new(members: usize) -> Self {
         Group {
-            map: BTreeMap::new(),
+            trees: [const { BTreeMap::new() }; 256],
             live: u64::MAX >> (64 - members),
             counts: vec![0; members],
             epoch: 0,
@@ -146,20 +160,37 @@ impl Group {
         (self.live != 0).then(|| self.live.trailing_zeros() as usize)
     }
 
+    /// Every entry, in key order.
+    fn iter(&self) -> impl Iterator<Item = (&Bytes, &Held)> {
+        self.trees.iter().flatten()
+    }
+
     /// The reader's entry under `key`.
     fn read(&self, key: &[u8]) -> Option<&Held> {
         let reader = bit(self.reader()?);
-        self.map.get(key).filter(|h| h.holders & reader != 0)
+        self.trees[tree_of(key)]
+            .get(key)
+            .filter(|h| h.holders & reader != 0)
     }
 
-    /// The reader's keys in `range`, ascending.
+    /// The reader's keys in `range`, ascending: the range walk of each
+    /// tree from the lower bound's to the upper bound's.
     fn keys<'a>(
         &'a self,
         range: (Bound<&'a [u8]>, Bound<&'a [u8]>),
     ) -> impl Iterator<Item = &'a Bytes> + 'a {
         let reader = self.reader().map_or(0, bit);
-        self.map
-            .range::<[u8], _>(range)
+        let first = match range.0 {
+            Bound::Included(k) | Bound::Excluded(k) => tree_of(k),
+            Bound::Unbounded => 0,
+        };
+        let last = match range.1 {
+            Bound::Included(k) | Bound::Excluded(k) => tree_of(k),
+            Bound::Unbounded => self.trees.len() - 1,
+        };
+        self.trees[first..=last]
+            .iter()
+            .flat_map(move |tree| tree.range::<[u8], _>(range))
             .filter(move |(_, h)| h.holders & reader != 0)
             .map(|(k, _)| k)
     }
@@ -176,7 +207,7 @@ impl Group {
             holders: self.live,
             epoch: self.epoch,
         };
-        let gained = match self.map.entry(key) {
+        let gained = match self.trees[tree_of(&key)].entry(key) {
             Entry::Vacant(slot) => {
                 slot.insert(held);
                 self.live
@@ -197,7 +228,7 @@ impl Group {
 
     /// Remove `key` from every member.
     fn remove(&mut self, key: &Bytes) {
-        if let Some((key, held)) = self.map.remove_entry(key) {
+        if let Some((key, held)) = self.trees[tree_of(key)].remove_entry(key) {
             for m in members_of(held.holders) {
                 self.counts[m] -= 1;
             }
@@ -261,7 +292,6 @@ impl Group {
             .peekable();
         let mut entries = Vec::with_capacity(cut.len);
         let older = self
-            .map
             .iter()
             .filter(|(_, h)| h.epoch < self.epoch && h.holders & reader != 0);
         for (key, held) in older {
@@ -286,7 +316,7 @@ impl Group {
     fn recover(&mut self, node: usize) -> Result<(), KvError> {
         let donor = self.reader().ok_or(KvError::NoReplicaAvailable)?;
         let (from, to) = (bit(donor), bit(node));
-        for held in self.map.values_mut() {
+        for held in self.trees.iter_mut().flat_map(BTreeMap::values_mut) {
             if held.holders & from != 0 && held.holders & to == 0 {
                 held.holders |= to;
                 self.counts[node] += 1;
@@ -307,16 +337,18 @@ impl Group {
             return;
         }
         let b = bit(node);
-        self.map.retain(|_, held| {
-            held.holders &= !b;
-            held.holders != 0
-        });
+        for tree in &mut self.trees {
+            tree.retain(|_, held| {
+                held.holders &= !b;
+                held.holders != 0
+            });
+        }
         self.counts[node] = 0;
     }
 
     /// True when every entry is held by every live member.
     fn consistent(&self) -> bool {
-        self.map.values().all(|h| h.holders == self.live)
+        self.iter().all(|(_, h)| h.holders == self.live)
     }
 
     /// O(members) form of [`Group::consistent`], used by the compaction
@@ -352,8 +384,7 @@ impl Group {
         let Some(reader) = self.reader() else {
             return Vec::new();
         };
-        self.map
-            .iter()
+        self.iter()
             .filter(|(_, h)| h.holders & bit(reader) != 0)
             .map(|(k, h)| (k.clone(), h.value.clone()))
             .collect()
@@ -810,7 +841,7 @@ impl ReplicatedKv {
     #[cfg(test)]
     fn member_get(&self, node: usize, key: &str) -> Option<Bytes> {
         let group = self.group.read();
-        let held = group.map.get(key.as_bytes())?;
+        let held = group.trees[tree_of(key.as_bytes())].get(key.as_bytes())?;
         (held.holders & bit(node) != 0).then(|| held.value.clone())
     }
 

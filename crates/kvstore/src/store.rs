@@ -13,8 +13,9 @@
 /// Replica group configuration.
 #[derive(Debug, Clone)]
 pub struct StoreConfig {
-    /// Ignored: every replica group is one ordered map. Kept so that
-    /// callers which still set it by field keep compiling.
+    /// Ignored: a replica group splits its keys by first byte, not into
+    /// shards. Kept so that callers which still set it by field keep
+    /// compiling.
     pub shards: usize,
     /// Per-entry value size limit in bytes (Algorithm 1's `db_limit`);
     /// `u64::MAX` disables the check.

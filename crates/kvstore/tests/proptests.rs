@@ -78,11 +78,17 @@ proptest! {
     /// Ordered range iteration returns exactly what the old filtered
     /// full scan returned, for arbitrary binary key sets and prefixes —
     /// including empty prefixes, prefixes at the key-space boundaries
-    /// (0x00.., 0xFF..), and prefixes longer than any stored key.
+    /// (0x00.., 0xFF..), and prefixes longer than any stored key — and
+    /// for arbitrary ranges `[lo, hi)` and `[lo, ..)`, which mostly span
+    /// several first bytes and so several of the group's trees.
     #[test]
     fn prefix_range_equals_filtered_scan(
         keys in proptest::collection::vec(proptest::collection::vec(any::<u8>(), 0..6), 0..60),
         prefix in proptest::collection::vec(any::<u8>(), 0..4),
+        bounds in (
+            proptest::collection::vec(any::<u8>(), 0..4),
+            proptest::collection::vec(any::<u8>(), 0..4),
+        ),
     ) {
         let store = ReplicatedKv::new(3, StoreConfig { entry_limit: u64::MAX, ..StoreConfig::default() });
         for k in &keys {
@@ -94,6 +100,19 @@ proptest! {
         // Both are sorted and contain only matching keys.
         prop_assert!(ranged.windows(2).all(|w| w[0] < w[1]));
         prop_assert!(ranged.iter().all(|k| k.as_ref().starts_with(&prefix[..])));
+
+        let (lo, hi) = if bounds.0 <= bounds.1 { bounds } else { (bounds.1, bounds.0) };
+        let mut all = keys.clone();
+        all.sort();
+        all.dedup();
+        for hi in [Some(&hi[..]), None] {
+            let want: Vec<Bytes> = all
+                .iter()
+                .filter(|k| **k >= lo && hi.is_none_or(|hi| &k[..] < hi))
+                .map(|k| Bytes::copy_from_slice(k))
+                .collect();
+            prop_assert_eq!(store.keys_in_range(&lo, hi), want, "range [{:?}, {:?})", lo, hi);
+        }
     }
 }
 
