@@ -5,12 +5,13 @@
 //! the whole image `build_payload` returns through `record_payload`.
 //!
 //! Both modules run the same arbitrary sequence of records at forward,
-//! backward and repeated states, chunk corruption, store outages, window
-//! resizes and forgets, at chunk sizes 16 (the header spans two chunks),
-//! 64 and 100. After every op they must hold the same chunk hashes for
-//! every retained checkpoint, the same stored rows and manifests, the
-//! same chunk statistics and refcounts, and restore and migrate alike;
-//! at the end their WAL images must be byte-identical.
+//! backward and repeated states, records of a foreign image through
+//! `record_payload`, chunk corruption, store outages, window resizes and
+//! forgets, at chunk sizes 16 (the header spans two chunks), 64 and 100.
+//! After every op they must hold the same chunk hashes for every
+//! retained checkpoint, the same stored rows and manifests, the same
+//! chunk statistics and refcounts, and restore and migrate alike; at
+//! the end their WAL images must be byte-identical.
 
 use canary_cluster::StorageHierarchy;
 use canary_core::checkpoint::build_payload;
@@ -28,6 +29,10 @@ enum Op {
     /// Record function `f`'s next state; `step` picks the state (see
     /// [`next_state`]), the time and the checkpoint size.
     Record(u8, u8),
+    /// As `Record`, but both modules store another function's image
+    /// through `record_payload`: an image `record` did not build, which
+    /// must not serve as the base of the next dirty-block image.
+    Foreign(u8, u8),
     /// Flip one bit in chunk `c` of retained checkpoint `k` of function
     /// `f`, in both modules: `(f, k, c)`.
     Corrupt(u8, u8, u8),
@@ -48,6 +53,7 @@ fn op_strategy() -> impl Strategy<Value = Op> {
         record(),
         record(),
         record(),
+        ((0..F), any::<u8>()).prop_map(|(f, s)| Op::Foreign(f, s)),
         ((0..F), any::<u8>(), any::<u8>()).prop_map(|(f, k, c)| Op::Corrupt(f, k, c)),
         (0..F).prop_map(Op::StoreOutage),
         (0u8..3).prop_map(Op::AdjustWindow),
@@ -112,8 +118,9 @@ impl Pair {
     }
 
     /// Record function `f` at the state, time and size `step` picks, in
-    /// both modules; true when both commits succeeded.
-    fn record(&mut self, f: usize, step: u8) -> Result<bool, TestCaseError> {
+    /// both modules; true when both commits succeeded. A `foreign` record
+    /// stores the image of function `f + FNS` in both modules.
+    fn record(&mut self, f: usize, step: u8, foreign: bool) -> Result<bool, TestCaseError> {
         let fn_id = f as u64;
         let state = next_state(self.last[f], step);
         // Equal times and states repeat the header as well.
@@ -123,9 +130,16 @@ impl Pair {
         } else {
             256 << 10
         };
-        let a = self.dirty.record(f as u32, fn_id, state, spec_bytes, now);
         let billed = self.whole.effective_bytes(spec_bytes);
-        let payload = build_payload(fn_id, state, billed, now, self.chunk_size);
+        let image_of = if foreign { fn_id + FNS as u64 } else { fn_id };
+        let payload = build_payload(image_of, state, billed, now, self.chunk_size);
+        let a = if foreign {
+            let payload = payload.clone();
+            self.dirty
+                .record_payload(f as u32, fn_id, state, spec_bytes, now, payload)
+        } else {
+            self.dirty.record(f as u32, fn_id, state, spec_bytes, now)
+        };
         let b = self
             .whole
             .record_payload(f as u32, fn_id, state, spec_bytes, now, payload);
@@ -141,7 +155,10 @@ impl Pair {
     fn apply(&mut self, op: &Op) -> Result<(), TestCaseError> {
         match *op {
             Op::Record(f, step) => {
-                prop_assert!(self.record(usize::from(f), step)?, "the store is up");
+                prop_assert!(self.record(usize::from(f), step, false)?, "the store is up");
+            }
+            Op::Foreign(f, step) => {
+                prop_assert!(self.record(usize::from(f), step, true)?, "the store is up");
             }
             Op::Corrupt(f, k, c) => {
                 let fn_id = u64::from(f);
@@ -164,7 +181,10 @@ impl Pair {
                         m.db().kv().fail_node(member).expect("known member");
                     }
                 }
-                prop_assert!(!self.record(usize::from(f), 0)?, "a dead store fails");
+                prop_assert!(
+                    !self.record(usize::from(f), 0, false)?,
+                    "a dead store fails"
+                );
                 for m in [&self.dirty, &self.whole] {
                     m.db().kv().rejoin_empty(0).expect("known member");
                 }
