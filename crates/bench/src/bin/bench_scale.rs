@@ -6,8 +6,8 @@
 //!
 //! Six in-binary contracts fail the run (and CI's scale-smoke job) on a
 //! regression:
-//! - fast-path metadata ops/sec ≥ 3× the string-keyed/uncached oracle at
-//!   the largest job scale;
+//! - fast-path metadata ops/sec ≥ 3× the string-keyed oracle at the
+//!   largest job scale;
 //! - `ReplicatedKv::put_shared` performs zero heap allocations per
 //!   overwrite put (the refcounted key/value fan-out never deep-copies);
 //! - the traced-Canary engine tier (checkpointing strategy, dynamic
@@ -171,8 +171,8 @@ impl MetadataPoint {
 fn measure_metadata(opts: DbOptions, jobs: u32, workers: u32, groups: u32) -> (f64, f64) {
     let db = CanaryDb::with_options(opts);
     prefill(&db, jobs, workers);
-    // Sample functions spread across the whole id space so cache and
-    // range behavior see cold and warm keys alike.
+    // Sample functions spread across the whole id space so range reads
+    // see every part of the keyspace.
     let stride = (jobs / groups).max(1) as u64;
     let ops_before = total_ops(&db);
     let allocs_before = allocs();
@@ -398,7 +398,7 @@ fn main() {
     for &(jobs, workers, groups) in metadata_points {
         eprintln!("metadata workload at {jobs}-job scale (fast path, {groups} sampled groups)...");
         let (fast_ops, fast_allocs) = measure_metadata(DbOptions::fast(3), jobs, workers, groups);
-        eprintln!("metadata workload at {jobs}-job scale (string/uncached oracle)...");
+        eprintln!("metadata workload at {jobs}-job scale (string-keyed oracle)...");
         let (oracle_ops, oracle_allocs) =
             measure_metadata(DbOptions::string_oracle(3), jobs, workers, groups);
         metas.push(MetadataPoint {
@@ -467,8 +467,8 @@ fn main() {
     eprintln!("wrote {out}");
     print!("{json}");
 
-    // Contract 1: the fast path beats the string-keyed/uncached oracle by
-    // at least 3x metadata ops/sec at the largest job scale.
+    // Contract 1: the fast path beats the string-keyed oracle by at least
+    // 3x metadata ops/sec at the largest job scale.
     let largest = metas.last().expect("at least one metadata point");
     assert!(
         largest.speedup() >= 3.0,

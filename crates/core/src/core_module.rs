@@ -89,8 +89,8 @@ impl CanaryStrategy {
     }
 
     /// [`CanaryStrategy::new`] over a metadata database built with `db`,
-    /// so tests can turn the row cache or the write-ahead log off and
-    /// check that neither changes a run.
+    /// so tests can turn the write-ahead log off and check that it does
+    /// not change a run.
     pub fn with_db_options(config: CanaryConfig, db: DbOptions) -> Self {
         config.validate().expect("invalid Canary configuration");
         let checkpointing = CheckpointingModule::new(
@@ -561,12 +561,12 @@ impl FtStrategy for CanaryStrategy {
             }
             FaultEvent::ControllerCrash => {
                 // The control plane itself dies: every in-memory metadata
-                // copy (and the row cache) is lost with the process, a
-                // torn in-flight record is left on the WAL, and the store
-                // is rebuilt from snapshot + log. Recovery is modeled as
-                // instantaneous in simulated time — the restarted
-                // controller resumes the same deterministic schedule —
-                // so only the trace and counters record that it happened.
+                // copy is lost with the process, a torn in-flight record
+                // is left on the WAL, and the store is rebuilt from
+                // snapshot + log. Recovery is modeled as instantaneous in
+                // simulated time — the restarted controller resumes the
+                // same deterministic schedule — so only the trace and
+                // counters record that it happened.
                 // Without a WAL (`DbOptions::durable` off) the metadata is
                 // simply gone and later restores fall back to
                 // rerun-from-start.
@@ -636,15 +636,12 @@ impl FtStrategy for CanaryStrategy {
         // Export the metadata database's per-table traffic and the store
         // totals into the run's telemetry snapshot.
         let stats = self.db().table_stats();
-        let (cache_hits, cache_misses) = self.db().cache_stats();
         let chunk = self.checkpointing.chunk_stats();
         let tel = platform.telemetry_mut();
         for (table, reads, writes) in stats {
             tel.set_table_stats(table, reads, writes);
         }
         tel.set_store_stats(StoreStats {
-            cache_hits,
-            cache_misses,
             chunks_written: chunk.written,
             chunks_deduped: chunk.deduped,
         });

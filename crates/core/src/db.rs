@@ -20,15 +20,13 @@
 //!   so per-table iteration order — and therefore golden traces — is
 //!   unchanged. The old string-keyed path is retained behind
 //!   [`DbOptions::string_oracle`] as the equivalence/benchmark oracle.
-//! - **Write-through row cache**: decoded `job_info` / `function_info`
-//!   rows and per-function `checkpoint_info` vectors are kept alongside
-//!   the store, so hot reads skip the KV fetch and the row decode
-//!   entirely. Every put/remove updates the cache at the same choke point
-//!   that writes the store; a membership [generation](
-//!   canary_kvstore::ReplicatedKv::generation) mismatch (node failure,
-//!   recovery, empty rejoin) drops the whole cache, because the backing
-//!   data may have been wiped or resynced under it. [`DbOptions::cache`]
-//!   turns the cache off for equivalence testing.
+//! - **Range reads**: a function's retained checkpoints are one
+//!   contiguous run of typed keys, so [`CanaryDb::checkpoints_of`] walks
+//!   only that range instead of scanning every key in the store.
+//!
+//! Every read goes to the replica group, which is itself the in-memory
+//! store (Ignite's replicated cache in the paper), and every write is one
+//! store call.
 //!
 //! # Durability
 //!
@@ -39,14 +37,12 @@
 //! "native persistence" half of the paper's Ignite deployment. A
 //! controller crash ([`CanaryDb::crash_and_recover`]) then rebuilds the
 //! typed-key tables, the membership generation, and the liveness bitmap
-//! from snapshot + log, and the row cache — which dies with the process —
-//! is dropped so post-restart reads repopulate it from recovered rows.
+//! from snapshot + log.
 
 use bytes::Bytes;
 use canary_kvstore::{KvError, ReplicatedKv, StoreConfig, WalConfig, WalError, WalRecovery};
-use canary_sim::hash::HashMap;
 use canary_workloads::{CodecError, Decoder, Encoder, RuntimeKind};
-use parking_lot::{Mutex, MutexGuard};
+use parking_lot::Mutex;
 use std::error::Error;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -468,8 +464,6 @@ pub struct DbOptions {
     pub members: usize,
     /// Typed stack keys (fast path) vs legacy `format!` strings (oracle).
     pub typed_keys: bool,
-    /// Write-through row cache in front of the store.
-    pub cache: bool,
     /// Log every mutation through a write-ahead log so the store survives
     /// a controller crash ([`CanaryDb::crash_and_recover`]).
     pub durable: bool,
@@ -478,12 +472,11 @@ pub struct DbOptions {
 }
 
 impl DbOptions {
-    /// The production fast path: typed keys + row cache, memory-only.
+    /// The production fast path: typed keys and range reads, memory-only.
     pub fn fast(members: usize) -> Self {
         DbOptions {
             members,
             typed_keys: true,
-            cache: true,
             durable: false,
             wal_snapshot_every: WalConfig::default().snapshot_every,
         }
@@ -499,12 +492,11 @@ impl DbOptions {
     }
 
     /// The pre-fast-path configuration, retained as the equivalence and
-    /// benchmark oracle: string keys, no cache, full-scan prefix queries.
+    /// benchmark oracle: string keys, full-scan prefix queries.
     pub fn string_oracle(members: usize) -> Self {
         DbOptions {
             members,
             typed_keys: false,
-            cache: false,
             durable: false,
             wal_snapshot_every: WalConfig::default().snapshot_every,
         }
@@ -528,33 +520,12 @@ const T_CHECKPOINT: usize = 3;
 const T_REPLICATION: usize = 4;
 const T_PAYLOAD: usize = 5;
 
-/// Decoded rows kept alongside the store. Entries exist only for rows the
-/// db itself wrote or read through this handle; a checkpoint entry is the
-/// complete retained set for that function (an absent entry means
-/// "unknown", never "empty").
-#[derive(Debug, Default)]
-struct CacheInner {
-    seen_generation: u64,
-    jobs: HashMap<u32, JobInfoRow>,
-    functions: HashMap<u64, FunctionInfoRow>,
-    checkpoints: HashMap<u64, Vec<CheckpointInfoRow>>,
-}
-
-#[derive(Debug, Default)]
-struct RowCache {
-    enabled: bool,
-    inner: Mutex<CacheInner>,
-    hits: AtomicU64,
-    misses: AtomicU64,
-}
-
 /// The five-table metadata database over the replicated KV store.
 #[derive(Debug)]
 pub struct CanaryDb {
     kv: ReplicatedKv,
     traffic: [TableTraffic; 6],
     typed_keys: bool,
-    cache: RowCache,
     /// Reused row-encode buffer: every put serializes into this scratch
     /// and copies the encoding out as one refcounted buffer, so a
     /// steady-state row write costs exactly one allocation.
@@ -574,7 +545,7 @@ impl CanaryDb {
     ];
 
     /// New database replicated across `members` cluster members, on the
-    /// fast path (typed keys + row cache) with the write-ahead log
+    /// fast path (typed keys and range reads) with the write-ahead log
     /// attached ([`DbOptions::durable`]).
     pub fn new(members: usize) -> Self {
         Self::with_options(DbOptions::durable(members))
@@ -603,10 +574,6 @@ impl CanaryDb {
             kv,
             traffic: Default::default(),
             typed_keys: opts.typed_keys,
-            cache: RowCache {
-                enabled: opts.cache,
-                ..Default::default()
-            },
             enc_scratch: Mutex::new(Encoder::new()),
         }
     }
@@ -621,33 +588,17 @@ impl CanaryDb {
     }
 
     /// Kill and restart the control plane's metadata substrate in place:
-    /// every in-memory copy (and the row cache, which lives in the same
-    /// process) is lost, a torn in-flight record is left on the log, and
-    /// the group is rebuilt from the WAL's snapshot + log. Without a WAL
-    /// the restart is lossy: the store comes back empty and readers see
-    /// missing rows (Canary's restore path then falls back to
+    /// every in-memory copy is lost, a torn in-flight record is left on
+    /// the log, and the group is rebuilt from the WAL's snapshot + log.
+    /// Without a WAL the restart is lossy: the store comes back empty and
+    /// readers see missing rows (Canary's restore path then falls back to
     /// rerun-from-start).
     pub fn crash_and_recover(&self) -> Result<WalRecovery, DbError> {
-        let recovery = self.kv.crash_and_recover(true)?;
-        if self.cache.enabled {
-            let mut inner = self.cache.inner.lock();
-            inner.jobs.clear();
-            inner.functions.clear();
-            inner.checkpoints.clear();
-            // Perfect recovery restores the generation to its pre-crash
-            // value, so re-sync the watermark explicitly — the cache died
-            // with the process either way.
-            inner.seen_generation = self.kv.generation();
-        }
-        Ok(recovery)
+        Ok(self.kv.crash_and_recover(true)?)
     }
 
     fn note_read(&self, table: usize) {
         self.traffic[table].reads.fetch_add(1, Ordering::Relaxed);
-    }
-
-    fn note_reads(&self, table: usize, n: u64) {
-        self.traffic[table].reads.fetch_add(n, Ordering::Relaxed);
     }
 
     fn note_write(&self, table: usize) {
@@ -655,9 +606,7 @@ impl CanaryDb {
     }
 
     /// Cumulative `(table, reads, writes)` traffic, in [`Self::TABLES`]
-    /// order. Deletions count as writes. Logical reads served from the
-    /// row cache still count, so traffic is identical with the cache on
-    /// or off.
+    /// order. Deletions count as writes.
     pub fn table_stats(&self) -> Vec<(&'static str, u64, u64)> {
         Self::TABLES
             .iter()
@@ -672,38 +621,17 @@ impl CanaryDb {
             .collect()
     }
 
-    /// Row-cache `(hits, misses)` so far. Both are 0 when the cache is
-    /// disabled.
+    /// Row-cache `(hits, misses)`: always `(0, 0)`, because the db keeps
+    /// no row cache and every read goes to the replica group. Kept only
+    /// because the benchmark package (`benchmark/`) still reads it.
     pub fn cache_stats(&self) -> (u64, u64) {
-        (
-            self.cache.hits.load(Ordering::Relaxed),
-            self.cache.misses.load(Ordering::Relaxed),
-        )
+        (0, 0)
     }
 
     /// The underlying replicated store (shared with the checkpoint
     /// payload path).
     pub fn kv(&self) -> &ReplicatedKv {
         &self.kv
-    }
-
-    /// Lock the row cache, first dropping every entry if the store's
-    /// membership generation moved (a node failed, recovered, or rejoined
-    /// empty — the backing data may have been wiped or resynced under
-    /// us). Returns `None` when the cache is disabled.
-    fn cache(&self) -> Option<MutexGuard<'_, CacheInner>> {
-        if !self.cache.enabled {
-            return None;
-        }
-        let mut inner = self.cache.inner.lock();
-        let generation = self.kv.generation();
-        if inner.seen_generation != generation {
-            inner.jobs.clear();
-            inner.functions.clear();
-            inner.checkpoints.clear();
-            inner.seen_generation = generation;
-        }
-        Some(inner)
     }
 
     fn worker_key(&self, node_id: u32) -> DbKey {
@@ -761,117 +689,53 @@ impl CanaryDb {
         )?)
     }
 
-    /// Insert/overwrite a `job_info` row (write-through: the cache is
-    /// updated at the same choke point that writes the store).
+    /// Insert/overwrite a `job_info` row.
     pub fn put_job(&self, row: &JobInfoRow) -> Result<(), DbError> {
         self.note_write(T_JOB);
         let val = self.encode_row(|e| row.encode_with(e));
-        self.kv.put(self.job_key(row.job_id), val)?;
-        if let Some(mut cache) = self.cache() {
-            cache.jobs.insert(row.job_id, row.clone());
-        }
-        Ok(())
+        Ok(self.kv.put(self.job_key(row.job_id), val)?)
     }
 
-    /// Read a `job_info` row (served decoded from the row cache when
-    /// hot).
+    /// Read a `job_info` row.
     pub fn get_job(&self, job_id: u32) -> Result<JobInfoRow, DbError> {
         self.note_read(T_JOB);
-        if let Some(mut cache) = self.cache() {
-            if let Some(row) = cache.jobs.get(&job_id) {
-                self.cache.hits.fetch_add(1, Ordering::Relaxed);
-                return Ok(row.clone());
-            }
-            self.cache.misses.fetch_add(1, Ordering::Relaxed);
-            let row = JobInfoRow::decode(&self.kv.get(self.job_key(job_id))?)?;
-            cache.jobs.insert(job_id, row.clone());
-            return Ok(row);
-        }
         Ok(JobInfoRow::decode(&self.kv.get(self.job_key(job_id))?)?)
     }
 
-    /// Insert/overwrite a `function_info` row (write-through).
+    /// Insert/overwrite a `function_info` row.
     pub fn put_function(&self, row: &FunctionInfoRow) -> Result<(), DbError> {
         self.note_write(T_FUNCTION);
         let val = self.encode_row(|e| row.encode_with(e));
-        self.kv.put(self.function_key(row.fn_id), val)?;
-        if let Some(mut cache) = self.cache() {
-            cache.functions.insert(row.fn_id, row.clone());
-        }
-        Ok(())
+        Ok(self.kv.put(self.function_key(row.fn_id), val)?)
     }
 
-    /// Read a `function_info` row (served decoded from the row cache when
-    /// hot).
+    /// Read a `function_info` row.
     pub fn get_function(&self, fn_id: u64) -> Result<FunctionInfoRow, DbError> {
         self.note_read(T_FUNCTION);
-        if let Some(mut cache) = self.cache() {
-            if let Some(row) = cache.functions.get(&fn_id) {
-                self.cache.hits.fetch_add(1, Ordering::Relaxed);
-                return Ok(row.clone());
-            }
-            self.cache.misses.fetch_add(1, Ordering::Relaxed);
-            let row = FunctionInfoRow::decode(&self.kv.get(self.function_key(fn_id))?)?;
-            cache.functions.insert(fn_id, row.clone());
-            return Ok(row);
-        }
         Ok(FunctionInfoRow::decode(
             &self.kv.get(self.function_key(fn_id))?,
         )?)
     }
 
-    /// Insert a `checkpoint_info` row. A cached retained-set for the
-    /// function is updated in place (same sorted-by-`ckpt_id` order a
-    /// fresh range read would produce); an absent entry stays absent.
+    /// Insert/overwrite a `checkpoint_info` row.
     pub fn put_checkpoint(&self, row: &CheckpointInfoRow) -> Result<(), DbError> {
         self.note_write(T_CHECKPOINT);
         let val = self.encode_row(|e| row.encode_with(e));
-        self.kv
-            .put(self.checkpoint_key(row.fn_id, row.ckpt_id), val)?;
-        if let Some(mut cache) = self.cache() {
-            if let Some(rows) = cache.checkpoints.get_mut(&row.fn_id) {
-                match rows.binary_search_by_key(&row.ckpt_id, |r| r.ckpt_id) {
-                    Ok(i) => rows[i] = row.clone(),
-                    Err(i) => rows.insert(i, row.clone()),
-                }
-            }
-        }
-        Ok(())
+        Ok(self
+            .kv
+            .put(self.checkpoint_key(row.fn_id, row.ckpt_id), val)?)
     }
 
     /// Delete a `checkpoint_info` row (window eviction).
     pub fn delete_checkpoint(&self, fn_id: u64, ckpt_id: u64) -> Result<(), DbError> {
         self.note_write(T_CHECKPOINT);
-        self.kv.remove(self.checkpoint_key(fn_id, ckpt_id))?;
-        if let Some(mut cache) = self.cache() {
-            if let Some(rows) = cache.checkpoints.get_mut(&fn_id) {
-                rows.retain(|r| r.ckpt_id != ckpt_id);
-            }
-        }
-        Ok(())
+        Ok(self.kv.remove(self.checkpoint_key(fn_id, ckpt_id))?)
     }
 
-    /// All retained `checkpoint_info` rows of a function, oldest first.
-    /// Served from the row cache when hot (no range walk, no decode);
-    /// traffic accounting is identical either way.
+    /// All retained `checkpoint_info` rows of a function, oldest first:
+    /// an ordered range walk on the fast path, the legacy full scan in
+    /// string-oracle mode. Each returned row counts as one read.
     pub fn checkpoints_of(&self, fn_id: u64) -> Result<Vec<CheckpointInfoRow>, DbError> {
-        if let Some(mut cache) = self.cache() {
-            if let Some(rows) = cache.checkpoints.get(&fn_id) {
-                self.cache.hits.fetch_add(1, Ordering::Relaxed);
-                self.note_reads(T_CHECKPOINT, rows.len() as u64);
-                return Ok(rows.clone());
-            }
-            self.cache.misses.fetch_add(1, Ordering::Relaxed);
-            let rows = self.read_checkpoints(fn_id)?;
-            cache.checkpoints.insert(fn_id, rows.clone());
-            return Ok(rows);
-        }
-        self.read_checkpoints(fn_id)
-    }
-
-    /// Read the retained set from the store: an ordered range walk on the
-    /// fast path, the legacy full scan in string-oracle mode.
-    fn read_checkpoints(&self, fn_id: u64) -> Result<Vec<CheckpointInfoRow>, DbError> {
         let keys = if self.typed_keys {
             self.kv.keys_with_prefix(TableKey::checkpoint_prefix(fn_id))
         } else {
@@ -926,10 +790,10 @@ impl CanaryDb {
     /// instead of two independent puts. Observationally identical to
     /// `put_payload` + `put_checkpoint` in that order: same per-table
     /// traffic counts, same final store contents, byte-identical WAL
-    /// record stream, same write-through cache update — only the lock
-    /// traffic differs. The row must reference `location` (it is stored
-    /// in the row and used as the batch's payload key). The payload
-    /// handle is stored as-is, once for every replica, never copied.
+    /// record stream — only the lock traffic differs. The row must
+    /// reference `location` (it is stored in the row and used as the
+    /// batch's payload key). The payload handle is stored as-is, once for
+    /// every replica, never copied.
     pub fn put_checkpoint_with_payload(
         &self,
         row: &CheckpointInfoRow,
@@ -942,17 +806,9 @@ impl CanaryDb {
             DbKey::Typed(k) => Bytes::copy_from_slice(k.as_bytes()),
             DbKey::Text(s) => Bytes::from(s),
         };
-        self.kv
-            .put_batch(&[(row.location.clone(), payload), (ckpt_key, row_bytes)])?;
-        if let Some(mut cache) = self.cache() {
-            if let Some(rows) = cache.checkpoints.get_mut(&row.fn_id) {
-                match rows.binary_search_by_key(&row.ckpt_id, |r| r.ckpt_id) {
-                    Ok(i) => rows[i] = row.clone(),
-                    Err(i) => rows.insert(i, row.clone()),
-                }
-            }
-        }
-        Ok(())
+        Ok(self
+            .kv
+            .put_batch(&[(row.location.clone(), payload), (ckpt_key, row_bytes)])?)
     }
 }
 
@@ -1164,95 +1020,19 @@ mod tests {
     }
 
     #[test]
-    fn table_stats_are_cache_invariant() {
-        let run = |opts: DbOptions| {
-            let db = CanaryDb::with_options(opts);
-            db.put_job(&sample_job(5)).unwrap();
-            for _ in 0..3 {
-                db.get_job(5).unwrap();
-            }
-            for ckpt_id in 0..3u64 {
-                db.put_checkpoint(&sample_ckpt(1, ckpt_id)).unwrap();
-            }
-            for _ in 0..4 {
-                db.checkpoints_of(1).unwrap();
-            }
-            db.table_stats()
-        };
-        assert_eq!(
-            run(DbOptions::fast(3)),
-            run(DbOptions {
-                cache: false,
-                ..DbOptions::fast(3)
-            })
-        );
-    }
-
-    #[test]
-    fn cache_hits_and_misses_are_counted() {
-        let db = CanaryDb::with_options(DbOptions::fast(3));
-        assert_eq!(db.cache_stats(), (0, 0));
-        db.put_job(&sample_job(1)).unwrap();
-        db.get_job(1).unwrap(); // hit (write-through populated it)
-        assert_eq!(db.cache_stats(), (1, 0));
-        db.put_function(&FunctionInfoRow {
-            fn_id: 9,
-            job_id: 1,
-            runtime: RuntimeKind::Python,
-            node_id: 0,
-            status: 1,
-        })
-        .unwrap();
-        db.get_function(9).unwrap(); // hit
-        db.checkpoints_of(9).unwrap(); // miss (never read before)
-        db.checkpoints_of(9).unwrap(); // hit
-        assert_eq!(db.cache_stats(), (3, 1));
-
-        let uncached = CanaryDb::with_options(DbOptions {
-            cache: false,
-            ..DbOptions::fast(3)
-        });
-        uncached.put_job(&sample_job(1)).unwrap();
-        uncached.get_job(1).unwrap();
-        assert_eq!(uncached.cache_stats(), (0, 0));
-    }
-
-    #[test]
-    fn cached_reads_match_direct_after_interleaved_writes() {
-        let cached = CanaryDb::with_options(DbOptions::fast(3));
-        let direct = CanaryDb::with_options(DbOptions {
-            cache: false,
-            ..DbOptions::fast(3)
-        });
-        for db in [&cached, &direct] {
-            for ckpt_id in 0..5u64 {
-                db.put_checkpoint(&sample_ckpt(3, ckpt_id)).unwrap();
-            }
-            db.checkpoints_of(3).unwrap(); // populate (cached case)
-            db.delete_checkpoint(3, 1).unwrap();
-            db.put_checkpoint(&sample_ckpt(3, 7)).unwrap();
-            db.put_checkpoint(&sample_ckpt(3, 2)).unwrap(); // overwrite
-        }
-        assert_eq!(
-            cached.checkpoints_of(3).unwrap(),
-            direct.checkpoints_of(3).unwrap()
-        );
-    }
-
-    #[test]
-    fn cache_dropped_on_membership_generation_change() {
+    fn a_total_outage_then_an_empty_rejoin_leaves_no_rows() {
         let db = CanaryDb::with_options(DbOptions::fast(3));
         db.put_job(&sample_job(5)).unwrap();
-        db.get_job(5).unwrap(); // cache hot
-                                // Total outage wipes every member; the rejoined store is empty.
+        db.put_checkpoint(&sample_ckpt(99, 0)).unwrap();
+        assert!(db.get_job(5).is_ok());
+        // A total outage wipes every member; the rejoined store is empty.
         for node in 0..3 {
             db.kv().fail_node(node).unwrap();
         }
         db.kv().rejoin_empty(0).unwrap();
-        // A stale cache would happily serve job 5; the generation bump
-        // must force the read through to the (now empty) store.
         assert!(db.get_job(5).is_err());
         assert_eq!(db.checkpoints_of(99).unwrap(), vec![]);
+        assert_eq!(db.cache_stats(), (0, 0));
     }
 
     #[test]

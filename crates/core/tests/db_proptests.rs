@@ -1,8 +1,7 @@
-//! Property tests for the metadata fast path: a cached, typed-key
-//! `CanaryDb` must be observationally identical to a direct (uncached)
-//! one and to the legacy string-keyed oracle, under arbitrary op
-//! sequences — including chaos ops (member crashes, resyncing
-//! recoveries, and empty rejoins) that invalidate the row cache.
+//! Property tests for the metadata fast path: a typed-key `CanaryDb`
+//! must be observationally identical to the legacy string-keyed oracle
+//! under arbitrary op sequences — including chaos ops (member crashes,
+//! resyncing recoveries, and empty rejoins).
 //!
 //! A second property covers durability: a WAL-backed db that crash-
 //! restarts at arbitrary points (log-replay-only and snapshot+replay
@@ -210,20 +209,15 @@ fn check_tables(dbs: &[&CanaryDb]) -> Result<(), TestCaseError> {
 }
 
 proptest! {
-    /// Drive a cached db, a direct (cache-off) db, and the string-keyed
-    /// oracle through the same op sequence and require identical
-    /// observable results after every step. Chaos ops hit all three
-    /// stores identically; the cached instance must never serve a stale
-    /// row across a membership change (total outages included).
+    /// Drive the typed-key db and the string-keyed oracle through the
+    /// same op sequence and require identical observable results after
+    /// every step. Chaos ops hit both stores identically, total outages
+    /// included.
     #[test]
-    fn cached_reads_equal_direct_reads(ops in proptest::collection::vec(op_strategy(), 0..120)) {
-        let cached = CanaryDb::with_options(DbOptions::fast(3));
-        let direct = CanaryDb::with_options(DbOptions {
-            cache: false,
-            ..DbOptions::fast(3)
-        });
+    fn typed_db_matches_the_string_keyed_oracle(ops in proptest::collection::vec(op_strategy(), 0..120)) {
+        let typed = CanaryDb::with_options(DbOptions::fast(3));
         let oracle = CanaryDb::with_options(DbOptions::string_oracle(3));
-        let dbs = [&cached, &direct, &oracle];
+        let dbs = [&typed, &oracle];
         for op in &ops {
             apply_op(&dbs, op)?;
             check_tables(&dbs)?;
@@ -235,8 +229,8 @@ proptest! {
     /// and a durable db that recovers from snapshot + log tail must stay
     /// observationally identical under arbitrary op sequences with
     /// crash-restarts mixed in — including membership fail / recover /
-    /// rejoin-empty churn, so the generation counter that drives row-
-    /// cache invalidation provably survives restarts.
+    /// rejoin-empty churn, so the membership generation, which the WAL
+    /// records, provably survives restarts.
     #[test]
     fn durable_recovery_matches_memory_and_snapshot_replay(
         ops in proptest::collection::vec(durable_op_strategy(), 0..100)
@@ -255,9 +249,8 @@ proptest! {
         let dbs = [&memory, &log_replay, &snapshotting];
         for op in &ops {
             apply_op(&dbs, op)?;
-            // The membership generation is restored exactly (not merely
-            // bumped past), so cached rows from before the crash stay
-            // valid unless a membership change actually happened.
+            // The membership generation is WAL state: recovery restores
+            // it exactly, not merely bumped past its pre-crash value.
             prop_assert_eq!(log_replay.kv().generation(), memory.kv().generation());
             prop_assert_eq!(snapshotting.kv().generation(), memory.kv().generation());
             check_tables(&dbs)?;

@@ -1094,9 +1094,8 @@ mod tests {
         let mut tel = Telemetry::new(true);
         tel.observe(Phase::CheckpointWrite, SimDuration::from_micros(250));
         tel.set_store_stats(StoreStats {
-            cache_hits: 40,
-            cache_misses: 10,
-            ..StoreStats::default()
+            chunks_written: 40,
+            chunks_deduped: 10,
         });
         tel.set_table_stats("worker_info", 1, 16);
         let mut counts = Counts::default();
@@ -1108,10 +1107,10 @@ mod tests {
         assert!(lines[1].contains("\"phase\":\"checkpoint_write\""));
         assert!(lines[1].contains("\"count\":1"));
         assert!(lines[2].contains("\"counter\":\"checkpoints_written\""));
-        // The db row-cache counters export under their stable labels, in
-        // the registry's row order after the pre-existing counters.
-        assert!(lines[3].contains("\"counter\":\"db_cache_hit\"") && lines[3].contains(":40"));
-        assert!(lines[4].contains("\"counter\":\"db_cache_miss\"") && lines[4].contains(":10"));
+        // The store totals export under their stable labels, in the
+        // registry's row order after the run's counters.
+        assert!(lines[3].contains("\"counter\":\"chunks_written\"") && lines[3].contains(":40"));
+        assert!(lines[4].contains("\"counter\":\"chunks_deduped\"") && lines[4].contains(":10"));
         assert!(lines[5].contains("\"table\":\"worker_info\""));
         for line in lines {
             Line::default().parse(line).unwrap();

@@ -20,8 +20,8 @@
 //! masks record exactly that. A put or remove is therefore one map
 //! operation under one lock, whatever the member count. Membership events
 //! (failure, recovery, empty rejoin) walk the maps once and bump a
-//! [generation counter](ReplicatedKv::generation) so caches layered above
-//! the group can detect that the backing data may have changed under them.
+//! [generation counter](ReplicatedKv::generation); a WAL snapshot records
+//! it, and crash recovery restores it exactly.
 //!
 //! A durable group compacts its WAL by *cuts*. A cut truncates the log
 //! and records the generation, the live mask and an epoch, not the
@@ -808,7 +808,7 @@ impl ReplicatedKv {
     ///
     /// Without a WAL the restart is lossy: every member comes back live
     /// but empty (the `rejoin_empty` story, group-wide), and the
-    /// generation is bumped so caches above notice the data changed.
+    /// generation is bumped like any other membership change.
     pub fn crash_and_recover(&self, tear: bool) -> Result<WalRecovery, WalError> {
         match &self.wal {
             Some(wal) => {

@@ -221,15 +221,6 @@ pub fn telemetry_summary(snap: &TelemetrySnapshot) -> String {
             "    {:<22} {:>10} {:>10}",
             "metadata ops", reads, writes
         );
-        let hits = snap.counter("db_cache_hit");
-        let misses = snap.counter("db_cache_miss");
-        if hits + misses > 0 {
-            let _ = writeln!(
-                out,
-                "    row cache              {:>9.1}% hit rate ({hits} hits, {misses} misses)",
-                100.0 * hits as f64 / (hits + misses) as f64
-            );
-        }
     }
     out
 }
@@ -338,9 +329,8 @@ mod tests {
         tel.set_table_stats("job_info", 3, 5);
         tel.set_table_stats("function_info", 7, 2);
         tel.set_store_stats(StoreStats {
-            cache_hits: 8,
-            cache_misses: 2,
-            ..StoreStats::default()
+            chunks_written: 8,
+            chunks_deduped: 2,
         });
         let mut counts = Counts::default();
         counts.run.checkpoints_written = 1;
@@ -352,10 +342,8 @@ mod tests {
             "p95",
             "checkpoints_written",
             "job_info",
-            "db_cache_hit",
+            "chunks_deduped",
             "metadata ops",
-            "row cache",
-            "80.0% hit rate",
         ] {
             assert!(text.contains(needle), "missing {needle} in:\n{text}");
         }

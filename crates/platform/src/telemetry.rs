@@ -78,10 +78,6 @@ impl fmt::Display for Phase {
 /// registry's rows (they have no trace event).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct StoreStats {
-    /// Metadata reads served from the db row cache.
-    pub cache_hits: u64,
-    /// Metadata reads that decoded a row from the store.
-    pub cache_misses: u64,
     /// Chunk bodies stored on first reference.
     pub chunks_written: u64,
     /// Chunk references satisfied by an already-stored body.
@@ -90,7 +86,7 @@ pub struct StoreStats {
 
 /// The telemetry counter rows in export order: each stable label with its
 /// value, read from the run's counter registry and the store totals.
-fn counter_rows(c: &Counts, store: &StoreStats) -> [(&'static str, u64); 23] {
+fn counter_rows(c: &Counts, store: &StoreStats) -> [(&'static str, u64); 21] {
     let r = &c.run;
     [
         ("checkpoints_written", r.checkpoints_written),
@@ -108,8 +104,6 @@ fn counter_rows(c: &Counts, store: &StoreStats) -> [(&'static str, u64); 23] {
         ("checkpoints_corrupted", c.checkpoints_corrupted),
         ("checkpoints_skipped", r.checkpoints_skipped),
         ("restore_fallbacks", r.restore_fallbacks),
-        ("db_cache_hit", store.cache_hits),
-        ("db_cache_miss", store.cache_misses),
         ("controller_crashes", r.controller_crashes),
         ("wal_records_replayed", r.wal_records_replayed),
         ("chunks_written", store.chunks_written),
@@ -463,7 +457,7 @@ mod tests {
         tel.span_end(Phase::RecoveryE2E, 1, t(100));
         tel.set_table_stats("jobs", 1, 2);
         tel.set_store_stats(StoreStats {
-            cache_hits: 1,
+            chunks_written: 1,
             ..StoreStats::default()
         });
         let snap = tel.snapshot(&counts);

@@ -10,8 +10,8 @@
 //! test records the size and alignment of every allocation, reallocation
 //! and free a run makes on its thread, twice in one process, and requires
 //! the two tapes to be equal. `RandomState` seeds each map afresh, so a
-//! map whose order reaches the allocator (the metadata db's tables, the
-//! causal-link index) makes the two tapes differ.
+//! map whose order reaches the allocator (such as the causal-link index)
+//! makes the two tapes differ.
 
 use canary_cluster::{ChaosSpec, Cluster, ControllerCrashSpec, FailureModel, StoreOutageSpec};
 use canary_core::{CanaryConfig, CanaryStrategy, ReplicationStrategyKind};

@@ -179,22 +179,6 @@ fn wal_images_match_goldens() {
 }
 
 #[test]
-fn row_cache_off_reproduces_mixed_goldens() {
-    // The write-through row cache is invisible to the run and to the
-    // log: without it, seed 42 writes the same trace and WAL image, and
-    // the cache records no traffic at all.
-    let db = DbOptions {
-        cache: false,
-        ..DbOptions::durable(3)
-    };
-    let (result, strategy) = canary_run("mixed", 42, db);
-    check_golden("chaos_mixed_seed42.jsonl", trace_to_jsonl(&result.trace));
-    let wal = strategy.db().kv().wal().expect("durability is on");
-    check_golden("wal_mixed_seed42.bin", wal.to_bytes());
-    assert_eq!(strategy.db().cache_stats(), (0, 0));
-}
-
-#[test]
 fn wal_off_reproduces_mixed_golden() {
     // With no controller crash injected, logging is invisible to the
     // run: a memory-only db writes the same seed-42 trace.
