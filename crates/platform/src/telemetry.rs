@@ -90,14 +90,14 @@ fn counter_rows(c: &Counts, store: &StoreStats) -> [(&'static str, u64); 21] {
     let r = &c.run;
     [
         ("checkpoints_written", r.checkpoints_written),
-        ("checkpoints_restored", r.restores),
+        ("restores", r.restores),
         ("jobs_queued", r.jobs_queued),
         ("jobs_dequeued", c.jobs_dequeued),
         ("jobs_rejected", r.jobs_rejected),
         ("replicas_consumed", r.replicas_consumed),
         ("replicas_refreshed", r.replicas_refreshed),
         ("recoveries_planned", r.warm_recoveries + r.cold_recoveries),
-        ("chaos_faults", r.chaos_events),
+        ("chaos_events", r.chaos_events),
         ("store_outages", r.store_outages),
         ("store_rejoins", c.store_rejoins),
         ("stragglers_injected", r.stragglers_injected),
