@@ -250,7 +250,7 @@ proptest! {
         for op in &ops {
             apply_op(&dbs, op)?;
             // The membership generation is WAL state: recovery restores
-            // it exactly, not merely bumped past its pre-crash value.
+            // it exactly rather than bumping it past its pre-crash value.
             prop_assert_eq!(log_replay.kv().generation(), memory.kv().generation());
             prop_assert_eq!(snapshotting.kv().generation(), memory.kv().generation());
             check_tables(&dbs)?;

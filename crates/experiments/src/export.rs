@@ -1108,7 +1108,7 @@ mod tests {
         assert!(lines[1].contains("\"count\":1"));
         assert!(lines[2].contains("\"counter\":\"checkpoints_written\""));
         // The store totals export under their stable labels, in the
-        // registry's row order after the run's counters.
+        // registry's row order.
         assert!(lines[3].contains("\"counter\":\"chunks_written\"") && lines[3].contains(":40"));
         assert!(lines[4].contains("\"counter\":\"chunks_deduped\"") && lines[4].contains(":10"));
         assert!(lines[5].contains("\"table\":\"worker_info\""));
